@@ -42,3 +42,19 @@ func TestWorkloadVerifyCheckpoint(t *testing.T) {
 func TestWorkloadVerifyUnbind(t *testing.T) {
 	runClean(t, Config{Seed: 4, Writers: 4, Ops: 300, Unbind: true})
 }
+
+// TestWorkloadLongReaderSeeds runs the in-process workload with a long
+// snapshot reader across many seeds, alternating the delete policy. The
+// reader walks the component closure of everything visible at its pin
+// while writers create subobjects, so a pin that saw a member created
+// after it (a class whose first history version had not been published
+// yet) fails with "no such object".
+func TestWorkloadLongReaderSeeds(t *testing.T) {
+	seeds := 40
+	if testing.Short() {
+		seeds = 8
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		runClean(t, Config{Seed: int64(seed), Writers: 4, Ops: 400, LongReaders: 1, Unbind: seed%2 == 0})
+	}
+}

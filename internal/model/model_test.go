@@ -40,8 +40,27 @@ func runDiff(t *testing.T, seed int64, steps int) {
 
 	rng := rand.New(rand.NewSource(seed))
 	w := &walker{rng: rng, st: st}
+	// Snapshot pins come and go on their own RNG (the operation sequence
+	// of a seed is unchanged), so writes retain versions; once the last
+	// pin is released the sweep must have left nothing behind.
+	pinRng := rand.New(rand.NewSource(-seed))
+	var pins []*object.Snapshot
 	for i := 0; i < steps; i++ {
+		switch r := pinRng.Intn(10); {
+		case r == 0 && len(pins) < 3:
+			pins = append(pins, st.Snapshot())
+		case r == 1 && len(pins) > 0:
+			j := pinRng.Intn(len(pins))
+			pins[j].Release()
+			pins = append(pins[:j], pins[j+1:]...)
+		}
 		w.step()
+	}
+	for _, sn := range pins {
+		sn.Release()
+	}
+	if bad := st.CheckVersionsSwept(); len(bad) != 0 {
+		t.Fatalf("versions left after the last release: %v", bad)
 	}
 	if w.successes < steps/4 {
 		t.Fatalf("only %d/%d operations succeeded; generator is ineffective", w.successes, steps)

@@ -236,9 +236,7 @@ func (s *Store) Acknowledge(relType string, inheritor domain.Surrogate) error {
 	}
 	_, ack, _ := b.Obj.book.now()
 	seq := s.seq.Add(1)
-	if b.Obj.book.acknowledge(seq, s.ceiling(), ack) {
-		s.shardOf(b.Obj.sur).retained.Add(1)
-	}
+	s.acknowledge(b.Obj, seq, ack)
 	s.markDirty(b.Obj.sur)
 	s.emit(&oplog.Op{Kind: oplog.KindAcknowledge, Name: relType, Sur: inheritor, Num: ack, Seq: seq})
 	return nil
@@ -256,9 +254,7 @@ func (s *Store) AcknowledgeAt(relType string, inheritor domain.Surrogate, ack in
 	if b == nil {
 		return fmt.Errorf("%w: %s in %s", ErrNotBound, inheritor, relType)
 	}
-	if b.Obj.book.acknowledge(opSeq, s.ceiling(), ack) {
-		s.shardOf(b.Obj.sur).retained.Add(1)
-	}
+	s.acknowledge(b.Obj, opSeq, ack)
 	s.markDirty(b.Obj.sur)
 	return nil
 }

@@ -93,7 +93,7 @@ func (s *Store) Delete(sur domain.Surrogate) error {
 		for _, ps := range touched {
 			if po, ok := s.obj(ps.parent); ok {
 				if po.pushModSeq(seq, ceil) {
-					s.shardOf(ps.parent).retained.Add(1)
+					s.retain(s.shardOf(ps.parent), po)
 				}
 				s.markDirty(ps.parent)
 			}

@@ -136,8 +136,8 @@ type attrIndex struct {
 	// but probes read it holding only a partition mutex.
 	droppedSeq atomic.Uint64
 	parts      []idxPart
-	// retained counts superseded interval nodes kept for pinned snapshots;
-	// it feeds the sweep pacing next to the shards' own counters.
+	// retained gauges the closed interval nodes kept for pinned
+	// snapshots (IndexStat.Retained).
 	retained atomic.Uint64
 }
 
@@ -210,7 +210,7 @@ func (ix *attrIndex) update(s *Store, sur domain.Surrogate, k ikey, has bool, se
 	}
 	ceil := s.ceiling()
 	if had {
-		ix.closeLocked(p, old, sur, seq, ceil)
+		ix.closeLocked(s, p, old, sur, seq, ceil)
 		delete(p.cur, sur)
 	}
 	if has {
@@ -222,7 +222,7 @@ func (ix *attrIndex) update(s *Store, sur domain.Surrogate, k ikey, has bool, se
 // closeLocked ends the live interval of (k, sur) at seq. With no pinned
 // snapshot the whole chain is dropped eagerly; otherwise the head is
 // stamped removed and retained for the sweep.
-func (ix *attrIndex) closeLocked(p *idxPart, k ikey, sur domain.Surrogate, seq, ceil uint64) {
+func (ix *attrIndex) closeLocked(s *Store, p *idxPart, k ikey, sur domain.Surrogate, seq, ceil uint64) {
 	m := p.buckets[k]
 	n := m[sur]
 	if n == nil {
@@ -238,6 +238,7 @@ func (ix *attrIndex) closeLocked(p *idxPart, k ikey, sur domain.Surrogate, seq, 
 	}
 	n.removed = seq
 	ix.retained.Add(1)
+	s.retain(s.shardOf(sur), &postRef{ix: ix, k: k, sur: sur})
 }
 
 // openLocked starts a live interval of (k, sur) at seq, stacking on any
@@ -334,16 +335,16 @@ func (s *Store) idxResolve(o *Object, name string) (domain.Value, bool) {
 // runs at the operation's commit sequence (and is dropped wholesale by
 // abortClassTouches on rollback). Callers hold the all-shard lock.
 func (s *Store) classAdd(cls *Class, sur domain.Surrogate) {
-	cls.add(sur)
 	s.touchClass(cls)
+	cls.add(sur)
 	if reg := s.indexes.Load(); reg != nil && len(reg.byCls[cls]) > 0 {
 		s.idxPend = append(s.idxPend, idxPend{cls: cls, sur: sur, add: true})
 	}
 }
 
 func (s *Store) classRemove(cls *Class, sur domain.Surrogate) {
-	cls.remove(sur)
 	s.touchClass(cls)
+	cls.remove(sur)
 	if reg := s.indexes.Load(); reg != nil && len(reg.byCls[cls]) > 0 {
 		s.idxPend = append(s.idxPend, idxPend{cls: cls, sur: sur, add: false})
 	}
@@ -603,6 +604,8 @@ func (s *Store) dropIndex(name string, replaySeq uint64) error {
 	if s.ceiling() == 0 {
 		// No pin can plan over it: free the definition and postings now.
 		next.list = removeIdx(next.list, ix)
+	} else {
+		s.storeShard().work.push(ix)
 	}
 	s.indexes.Store(next)
 	if replaySeq == 0 {
@@ -896,72 +899,63 @@ func (sn *Snapshot) IndexEstimate(className, attrName string, lo, hi domain.Valu
 
 // ---- sweep and stats ----
 
-// idxRetainedTotal sums retained interval nodes across indexes for the
-// sweep pacing.
-func (s *Store) idxRetainedTotal() uint64 {
-	reg := s.indexes.Load()
-	if reg == nil {
-		return 0
-	}
-	var n uint64
-	for _, ix := range reg.list {
-		n += ix.retained.Load()
-	}
-	return n
+// postRef queues one posting chain for the sweep: the intervals of sur
+// under key k in ix.
+type postRef struct {
+	ix  *attrIndex
+	k   ikey
+	sur domain.Surrogate
 }
 
-// idxSweep trims index postings no pinned snapshot can read: intervals
-// closed at or below the low-water mark, and the whole contents of
-// indexes dropped at or below it. Returns the number of nodes reclaimed.
-func (s *Store) idxSweep(low uint64) uint64 {
-	reg := s.indexes.Load()
-	if reg == nil {
-		return 0
+// flag is nil: a posting is queued once per closed interval.
+func (r *postRef) flag() *atomic.Bool { return nil }
+
+// trim drops the posting's intervals closed at or below low. Interval
+// chains are ordered newest-first and close monotonically, so the first
+// node closed at the low-water mark ends the readable prefix.
+func (r *postRef) trim(s *Store, low uint64) (t trimmed) {
+	p := &r.ix.parts[s.shardIndex(r.sur)]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	m := p.buckets[r.k]
+	n := m[r.sur]
+	if n == nil {
+		return t
 	}
-	var reclaimed uint64
-	for _, ix := range reg.list {
-		if d := ix.dropped(); d != 0 && d <= low {
-			reclaimed += ix.clear()
-			continue
+	if n.removed != 0 && n.removed <= low {
+		t.rec = postLen(n)
+		delete(m, r.sur)
+		if len(m) == 0 {
+			delete(p.buckets, r.k)
 		}
-		reclaimed += ix.sweep(low)
+	} else {
+		for q := n; q.prev != nil; q = q.prev {
+			if x := q.prev; x.removed != 0 && x.removed <= low {
+				t.rec = postLen(x)
+				q.prev = nil
+				break
+			}
+		}
+		t.keep = n.removed != 0 || n.prev != nil
 	}
-	return reclaimed
+	if t.rec > 0 {
+		r.ix.retained.Add(^(t.rec - 1))
+	}
+	return t
 }
 
-// sweep trims dead intervals from a live index. Interval chains are
-// ordered newest-first and close monotonically, so the first node dead at
-// the low-water mark ends the readable prefix.
-func (ix *attrIndex) sweep(low uint64) uint64 {
-	var reclaimed uint64
-	for i := range ix.parts {
-		p := &ix.parts[i]
-		p.mu.Lock()
-		for k, m := range p.buckets {
-			for sur, n := range m {
-				if n.removed != 0 && n.removed <= low {
-					reclaimed += chainLen(n)
-					delete(m, sur)
-					continue
-				}
-				for ; n.prev != nil; n = n.prev {
-					if q := n.prev; q.removed != 0 && q.removed <= low {
-						reclaimed += chainLen(q)
-						n.prev = nil
-						break
-					}
-				}
-			}
-			if len(m) == 0 {
-				delete(p.buckets, k)
-			}
-		}
-		p.mu.Unlock()
+// flag is nil: an index is dropped, and queued, once.
+func (ix *attrIndex) flag() *atomic.Bool { return nil }
+
+// trim clears the postings of a dropped index once no pin can plan over
+// it.
+func (ix *attrIndex) trim(_ *Store, low uint64) (t trimmed) {
+	if ix.dropped() > low {
+		t.keep = true
+		return t
 	}
-	if reclaimed > 0 {
-		ix.retained.Add(^(reclaimed - 1))
-	}
-	return reclaimed
+	t.rec = ix.clear()
+	return t
 }
 
 // clear drops all postings of a dropped index.
@@ -972,7 +966,7 @@ func (ix *attrIndex) clear() uint64 {
 		p.mu.Lock()
 		for _, m := range p.buckets {
 			for _, n := range m {
-				reclaimed += chainLen(n)
+				reclaimed += postLen(n)
 			}
 		}
 		p.buckets = make(map[ikey]map[domain.Surrogate]*postNode)
@@ -983,7 +977,7 @@ func (ix *attrIndex) clear() uint64 {
 	return reclaimed
 }
 
-func chainLen(n *postNode) uint64 {
+func postLen(n *postNode) uint64 {
 	var c uint64
 	for ; n != nil; n = n.prev {
 		c++

@@ -83,10 +83,10 @@ func (s *Store) setAttrShard(sh *shard, sur domain.Surrogate, name string, v dom
 		}
 		ceil := s.ceiling()
 		if b.put(seq, &v, ceil) {
-			sh.retained.Add(1)
+			s.retain(sh, o)
 		}
 		if o.pushModSeq(seq, ceil) {
-			sh.retained.Add(1)
+			s.retain(sh, o)
 		}
 		s.markDirty(sur)
 		s.idxOwn(o, name, v, seq)
@@ -122,14 +122,14 @@ func (s *Store) setAttrShard(sh *shard, sur domain.Surrogate, name string, v dom
 		seq = s.seq.Add(1)
 	}
 	ceil := s.ceiling()
-	if n := o.setAttr(name, v, seq, ceil); n > 0 {
-		sh.retained.Add(uint64(n))
+	if o.setAttr(name, v, seq, ceil) {
+		s.retain(sh, o)
 	}
 	if b, ok := o.attrMap()[name]; ok {
 		b.decl = a // arm the fast path for subsequent writes
 	}
 	if o.pushModSeq(seq, ceil) {
-		sh.retained.Add(1)
+		s.retain(sh, o)
 	}
 	s.markDirty(sur)
 	s.idxOwn(o, name, v, seq)
@@ -177,11 +177,11 @@ func (s *Store) setRelAttrLocked(o *Object, name string, v domain.Value, replayS
 	}
 	ceil := s.ceiling()
 	sh := s.shardOf(o.sur)
-	if n := o.setAttr(name, v, seq, ceil); n > 0 {
-		sh.retained.Add(uint64(n))
+	if o.setAttr(name, v, seq, ceil) {
+		s.retain(sh, o)
 	}
 	if o.pushModSeq(seq, ceil) {
-		sh.retained.Add(1)
+		s.retain(sh, o)
 	}
 	s.markDirty(o.sur)
 	if replaySeq == 0 {
@@ -477,9 +477,7 @@ func (n *notifier) notify(transmitter domain.Surrogate, member string) {
 		if !b.Rel.Inherits(member) {
 			continue
 		}
-		if b.Obj.book.noteUpdate(n.seq, n.s.ceiling()) {
-			n.s.shardOf(b.Obj.sur).retained.Add(1)
-		}
+		n.s.noteUpdate(b.Obj, n.seq)
 		// The bookkeeping is durable state of the binding object, which may
 		// live in a shard other than the caller's: its segment must be
 		// re-encoded at the next checkpoint.

@@ -15,8 +15,10 @@ package object
 // read it (head.at > ceiling), reusing the head's tail — so with zero pins
 // every chain is exactly one node, the legacy in-place behaviour. With k
 // live pins a slot accumulates at most one retained node per distinct pin
-// sequence. A low-water-mark sweep (SweepVersions) trims retained nodes
-// and unlinks deleted objects once the pins that needed them release.
+// sequence. Every write that keeps an old head for a pin queues the
+// slot's owner on its shard's work list (retain); a low-water-mark sweep
+// (SweepVersions) trims only the queued owners, so its cost follows what
+// the pins retained, not the size of the store.
 //
 // Correctness of "first node with at <= S": a pin's sequence S is read
 // under all shard read locks, so every operation is entirely before the
@@ -195,8 +197,11 @@ func (bk *bindingBook) at(s uint64) (upd, last, ack int64) {
 
 // push publishes new absolutes derived from the current head by f,
 // stamped at. Keep/replace of the old head follows the same ceiling rule
-// as attribute slots. Reports whether the chain grew.
-func (bk *bindingBook) push(at, ceil uint64, f func(upd, last, ack int64) (int64, int64, int64)) bool {
+// as attribute slots. Reports whether the chain grew, and whether the new
+// head has a tail at all: the sweep trims this chain holding only the
+// owner's shard lock, so a concurrent replacing push may relink a node
+// the sweep just cut, and its owner must then stay queued.
+func (bk *bindingBook) push(at, ceil uint64, f func(upd, last, ack int64) (int64, int64, int64)) (grew, tail bool) {
 	for {
 		h := bk.head.Load()
 		var upd, last, ack int64
@@ -205,7 +210,7 @@ func (bk *bindingBook) push(at, ceil uint64, f func(upd, last, ack int64) (int64
 		}
 		u, l, a := f(upd, last, ack)
 		n := &bookNode{at: at, upd: u, last: l, ack: a}
-		grew := false
+		grew = false
 		if h != nil {
 			if h.at <= ceil && h.at < at {
 				n.prev.Store(h)
@@ -215,14 +220,27 @@ func (bk *bindingBook) push(at, ceil uint64, f func(upd, last, ack int64) (int64
 			}
 		}
 		if bk.head.CompareAndSwap(h, n) {
-			return grew
+			return grew, n.prev.Load() != nil
 		}
 	}
 }
 
-// noteUpdate records one permeable transmitter update at seq.
-func (bk *bindingBook) noteUpdate(seq, ceil uint64) bool {
-	return bk.push(seq, ceil, func(upd, last, ack int64) (int64, int64, int64) {
+// pushBook advances the bookkeeping of binding object o at seq and keeps
+// o queued for the sweep while the chain has a tail.
+func (s *Store) pushBook(o *Object, seq uint64, f func(upd, last, ack int64) (int64, int64, int64)) {
+	grew, tail := o.book.push(seq, s.ceiling(), f)
+	switch {
+	case grew:
+		s.retain(s.shardOf(o.sur), o)
+	case tail:
+		s.shardOf(o.sur).work.push(o)
+	}
+}
+
+// noteUpdate records one permeable transmitter update at seq on binding
+// object o.
+func (s *Store) noteUpdate(o *Object, seq uint64) {
+	s.pushBook(o, seq, func(upd, last, ack int64) (int64, int64, int64) {
 		if int64(seq) > last {
 			last = int64(seq)
 		}
@@ -230,9 +248,10 @@ func (bk *bindingBook) noteUpdate(seq, ceil uint64) bool {
 	})
 }
 
-// acknowledge raises AcknowledgedSeq to at least ack, at op sequence seq.
-func (bk *bindingBook) acknowledge(seq, ceil uint64, ack int64) bool {
-	return bk.push(seq, ceil, func(u, l, a int64) (int64, int64, int64) {
+// acknowledge raises o's AcknowledgedSeq to at least ack, at op sequence
+// seq.
+func (s *Store) acknowledge(o *Object, seq uint64, ack int64) {
+	s.pushBook(o, seq, func(u, l, a int64) (int64, int64, int64) {
 		if ack > a {
 			a = ack
 		}
@@ -258,7 +277,12 @@ type ibVer struct {
 
 // ibChain versions one inheritor's bindings for snapshot readers. Pushed
 // under the all-shard lock (every binding mutation is store-exclusive).
-type ibChain struct{ head atomic.Pointer[ibVer] }
+// key is the inheritor, so the sweep can unlink a chain that emptied.
+type ibChain struct {
+	head   atomic.Pointer[ibVer]
+	key    domain.Surrogate
+	queued atomic.Bool
+}
 
 func (c *ibChain) push(at, ceil uint64, set map[string]*Binding) bool {
 	h := c.head.Load()
@@ -292,7 +316,11 @@ type tbVer struct {
 	prev atomic.Pointer[tbVer]
 }
 
-type tbChain struct{ head atomic.Pointer[tbVer] }
+type tbChain struct {
+	head   atomic.Pointer[tbVer]
+	key    domain.Surrogate
+	queued atomic.Bool
+}
 
 func (c *tbChain) push(at, ceil uint64, list []*Binding) bool {
 	h := c.head.Load()
@@ -334,9 +362,14 @@ func (s *Store) snapPushBindIn(inheritor domain.Surrogate, at uint64) {
 	for k, v := range live {
 		set[k] = v
 	}
-	v, _ := sh.snapBindIn.LoadOrStore(inheritor, &ibChain{})
-	if v.(*ibChain).push(at, ceil, set) {
-		sh.retained.Add(1)
+	v, _ := sh.snapBindIn.LoadOrStore(inheritor, &ibChain{key: inheritor})
+	c := v.(*ibChain)
+	if c.push(at, ceil, set) {
+		s.retain(sh, c)
+	} else if len(live) == 0 {
+		// An empty head a pin may still distinguish from an absent key:
+		// the sweep drops the key once no pin can.
+		sh.work.push(c)
 	}
 }
 
@@ -350,9 +383,12 @@ func (s *Store) snapPushBindOut(transmitter domain.Surrogate, at uint64) {
 		return
 	}
 	list := append([]*Binding(nil), live...)
-	v, _ := sh.snapBindOut.LoadOrStore(transmitter, &tbChain{})
-	if v.(*tbChain).push(at, ceil, list) {
-		sh.retained.Add(1)
+	v, _ := sh.snapBindOut.LoadOrStore(transmitter, &tbChain{key: transmitter})
+	c := v.(*tbChain)
+	if c.push(at, ceil, list) {
+		s.retain(sh, c)
+	} else if len(live) == 0 {
+		sh.work.push(c)
 	}
 }
 
@@ -404,19 +440,25 @@ func (c *Class) membersAt(s uint64) []domain.Surrogate {
 }
 
 // touchClass records a class whose membership the running store-exclusive
-// operation mutates; commitClassHist publishes one history version per
-// touched class at the operation's sequence. Guarded by the all-shard
-// lock (single mutator).
+// operation is about to mutate; commitClassHist publishes one history
+// version per touched class at the operation's sequence. Guarded by the
+// all-shard lock (single mutator).
+//
+// Callers touch before they mutate: a class with no history answers
+// snapshot readers from its live slice, so while a pin is live the
+// pre-mutation membership is seeded as the base version first — otherwise
+// a lock-free reader between the live change and commitClassHist would
+// see a member created after its pin. With no pin nothing is seeded: any
+// later pin is taken after the operation and reads the live slice.
 func (s *Store) touchClass(c *Class) {
 	for _, t := range s.touched {
 		if t == c {
 			return
 		}
 	}
-	// First mutation since the base state: preserve the pre-import
-	// membership for readers below the first explicit version. Classes
-	// populated by Import get their base version seeded there; classes
-	// born empty need none (an exhausted walk reads empty).
+	if c.hist.Load() == nil && s.ceiling() > 0 {
+		c.hist.Store(&cver{at: 0, members: c.items()})
+	}
 	s.touched = append(s.touched, c)
 }
 
@@ -425,7 +467,7 @@ func (s *Store) commitClassHist(seq uint64) {
 		ceil := s.ceiling()
 		for _, c := range s.touched {
 			if c.pushHist(seq, ceil) {
-				s.mvcc.classRetained.Add(1)
+				s.retain(s.storeShard(), c)
 			}
 		}
 		s.touched = s.touched[:0]
@@ -461,7 +503,7 @@ func (s *Store) retireObj(o *Object, seq uint64) {
 		return
 	}
 	o.deletedSeq.Store(seq)
-	sh.retained.Add(1)
+	s.retain(sh, o)
 }
 
 // visibleAt reports whether the object existed at sequence point s.
@@ -471,6 +513,215 @@ func (o *Object) visibleAt(s uint64) bool {
 	}
 	d := o.deletedSeq.Load()
 	return d == 0 || d > s
+}
+
+// ---------------------------------------------------------------------------
+// Sweep work lists
+
+// sweepable is an owner of version state kept alive for a pin: an object
+// (its attribute slots, modSeq history, binding bookkeeping and, once
+// deleted, its snapshot entry), a binding-index chain, a class history,
+// an index posting, or a dropped index.
+type sweepable interface {
+	// flag returns the owner's on-a-list mark, so an owner is queued at
+	// most once; nil for owners queued once per retention.
+	flag() *atomic.Bool
+	// trim reclaims what no pin at or above low can read. The sweep holds
+	// the write lock of the shard whose list the owner was on.
+	trim(s *Store, low uint64) trimmed
+}
+
+// trimmed is one owner's sweep outcome.
+type trimmed struct {
+	extras uint64 // surviving non-head version nodes
+	rec    uint64 // reclaimed nodes, slots and objects
+	dead   uint64 // deleted objects a live pin still sees
+	// keep: the owner still holds something a live pin needs, or a
+	// tombstone or empty head the sweep may drop later, so it goes back
+	// on the list.
+	keep bool
+}
+
+// workList is one shard's queue of owners to sweep. Every owner with a
+// non-head version node, a pinned dead object, a retained index interval
+// or a pending tombstone is on some list — that is what lets the sweep
+// skip everything else and still leave ExtraVersions/DeadObjects exact.
+// Writers push under whatever lock their mutation holds (bookkeeping and
+// postings may be pushed by a writer on another shard), hence mu.
+type workList struct {
+	mu    sync.Mutex
+	items []sweepable
+	n     atomic.Int64 // len(items), for the lock-free pending check
+}
+
+// push queues x unless it is already queued.
+func (w *workList) push(x sweepable) {
+	if f := x.flag(); f != nil && (f.Load() || !f.CompareAndSwap(false, true)) {
+		return
+	}
+	w.mu.Lock()
+	w.items = append(w.items, x)
+	w.n.Store(int64(len(w.items)))
+	w.mu.Unlock()
+}
+
+// take empties the list and returns its items.
+func (w *workList) take() []sweepable {
+	w.mu.Lock()
+	items := w.items
+	w.items = nil
+	w.n.Store(0)
+	w.mu.Unlock()
+	return items
+}
+
+// retain counts one version node (or dead object) kept alive for a pin
+// and queues its owner on sh's work list. Every retention site goes
+// through here.
+func (s *Store) retain(sh *shard, x sweepable) {
+	sh.retained.Add(1)
+	sh.work.push(x)
+}
+
+// storeShard is the shard whose list holds the store-wide owners: class
+// histories and dropped indexes. Both change only under every shard
+// lock, so holding this one shard's lock excludes their writers while the
+// sweep trims them.
+func (s *Store) storeShard() *shard { return &s.shards[0] }
+
+func (o *Object) flag() *atomic.Bool  { return &o.queued }
+func (c *Class) flag() *atomic.Bool   { return &c.queued }
+func (c *ibChain) flag() *atomic.Bool { return &c.queued }
+func (c *tbChain) flag() *atomic.Bool { return &c.queued }
+
+// trim unlinks the object from the snapshot index once no pin sees it
+// deleted, and otherwise trims its attribute slots, modSeq history and
+// binding bookkeeping, dropping slots whose whole history is a tombstone
+// no pin distinguishes from absence.
+func (o *Object) trim(s *Store, low uint64) (t trimmed) {
+	if d := o.deletedSeq.Load(); d != 0 {
+		if d <= low {
+			s.shardOf(o.sur).snapObjs.CompareAndDelete(o.sur, o)
+			t.rec = 1
+			return t
+		}
+		t.dead = 1
+	}
+	var tombs []string
+	for name, b := range o.attrMap() {
+		e, r := trimChain(b.head.Load(), low)
+		t.extras += e
+		t.rec += r
+		if h := b.head.Load(); h.v == nil {
+			if e == 0 && h.at <= low && t.dead == 0 {
+				tombs = append(tombs, name)
+			} else {
+				t.keep = true
+			}
+		}
+	}
+	if len(tombs) > 0 {
+		o.removeBoxes(tombs)
+		t.rec += uint64(len(tombs))
+	}
+	if h := o.modPrev.Load(); h != nil {
+		if o.modSeq.Load() <= low {
+			o.modPrev.Store(nil)
+			t.rec += chainLen(h)
+		} else {
+			e, r := trimChain(h, low)
+			t.extras += e + 1
+			t.rec += r
+		}
+	}
+	if o.book != nil {
+		e, r := trimChain(o.book.head.Load(), low)
+		t.extras += e
+		t.rec += r
+	}
+	t.keep = t.keep || t.extras > 0 || t.dead > 0
+	return t
+}
+
+func (c *Class) trim(_ *Store, low uint64) (t trimmed) {
+	t.extras, t.rec = trimChain(c.hist.Load(), low)
+	t.keep = t.extras > 0
+	return t
+}
+
+// trim drops the inheritor's key once its chain is a single empty set no
+// pin can tell from an absent one.
+func (c *ibChain) trim(s *Store, low uint64) (t trimmed) {
+	t.extras, t.rec = trimChain(c.head.Load(), low)
+	if h := c.head.Load(); h != nil && len(h.set) == 0 {
+		if t.extras == 0 && h.at <= low {
+			s.shardOf(c.key).snapBindIn.CompareAndDelete(c.key, c)
+		} else {
+			t.keep = true
+		}
+	}
+	t.keep = t.keep || t.extras > 0
+	return t
+}
+
+func (c *tbChain) trim(s *Store, low uint64) (t trimmed) {
+	t.extras, t.rec = trimChain(c.head.Load(), low)
+	if h := c.head.Load(); h != nil && len(h.list) == 0 {
+		if t.extras == 0 && h.at <= low {
+			s.shardOf(c.key).snapBindOut.CompareAndDelete(c.key, c)
+		} else {
+			t.keep = true
+		}
+	}
+	t.keep = t.keep || t.extras > 0
+	return t
+}
+
+// versionNode is a chain node type: its stamp and its link to the next
+// older node.
+type versionNode[T any] interface {
+	*T
+	stamp() uint64
+	older() *atomic.Pointer[T]
+}
+
+func (n *aver) stamp() uint64                        { return n.at }
+func (n *aver) older() *atomic.Pointer[aver]         { return &n.prev }
+func (n *mver) stamp() uint64                        { return n.at }
+func (n *mver) older() *atomic.Pointer[mver]         { return &n.prev }
+func (n *bookNode) stamp() uint64                    { return n.at }
+func (n *bookNode) older() *atomic.Pointer[bookNode] { return &n.prev }
+func (n *cver) stamp() uint64                        { return n.at }
+func (n *cver) older() *atomic.Pointer[cver]         { return &n.prev }
+func (n *ibVer) stamp() uint64                       { return n.at }
+func (n *ibVer) older() *atomic.Pointer[ibVer]       { return &n.prev }
+func (n *tbVer) stamp() uint64                       { return n.at }
+func (n *tbVer) older() *atomic.Pointer[tbVer]       { return &n.prev }
+
+// trimChain cuts a chain below the first node readable at low (every
+// remaining pin has S >= low, so nothing deeper is reachable). Returns
+// the surviving non-head nodes and the reclaimed ones.
+func trimChain[T any, N versionNode[T]](head N, low uint64) (extras, rec uint64) {
+	if head == nil {
+		return 0, 0
+	}
+	for n := head; n != nil; n = n.older().Load() {
+		if n.stamp() <= low {
+			rec = chainLen(N(n.older().Load()))
+			n.older().Store(nil)
+			break
+		}
+	}
+	return chainLen(N(head.older().Load())), rec
+}
+
+// chainLen counts the nodes of a chain from n.
+func chainLen[T any, N versionNode[T]](n N) uint64 {
+	var c uint64
+	for ; n != nil; n = n.older().Load() {
+		c++
+	}
+	return c
 }
 
 // ---------------------------------------------------------------------------
@@ -490,13 +741,11 @@ type mvccState struct {
 	taken    atomic.Uint64
 	released atomic.Uint64
 
-	gcMu          sync.Mutex // admits one sweep; TryLock paces overlapping triggers
-	gcRuns        atomic.Uint64
-	reclaimed     atomic.Uint64
-	classRetained atomic.Uint64
-	sweepStamp    atomic.Uint64 // retention counter total at the last sweep
-	extraGauge    atomic.Uint64 // residual non-head version nodes at the last sweep
-	deadGauge     atomic.Uint64 // residual dead (deleted but pinned) objects at the last sweep
+	gcMu       sync.Mutex // admits one sweep; TryLock paces overlapping triggers
+	gcRuns     atomic.Uint64
+	reclaimed  atomic.Uint64
+	extraGauge atomic.Uint64 // residual non-head version nodes at the last sweep
+	deadGauge  atomic.Uint64 // residual dead (deleted but pinned) objects at the last sweep
 }
 
 func (m *mvccState) recalcLocked() {
@@ -560,8 +809,7 @@ func (sn *Snapshot) Acquire() *Snapshot {
 }
 
 // Release drops one reference; the last release unpins the sequence point
-// and, if no other pin remains, triggers a version sweep when retained
-// garbage exists.
+// and, if no other pin remains and a work list is non-empty, sweeps.
 func (sn *Snapshot) Release() {
 	if sn.refs.Add(-1) != 0 {
 		return
@@ -574,17 +822,19 @@ func (sn *Snapshot) Release() {
 	m.recalcLocked()
 	remaining := len(m.pins)
 	m.mu.Unlock()
-	if remaining == 0 && s.retainedTotal() != m.sweepStamp.Load() {
+	if remaining == 0 && s.sweepPending() {
 		s.SweepVersions()
 	}
 }
 
-func (s *Store) retainedTotal() uint64 {
-	n := s.mvcc.classRetained.Load() + s.idxRetainedTotal()
+// sweepPending reports whether any shard's work list holds an owner.
+func (s *Store) sweepPending() bool {
 	for i := range s.shards {
-		n += s.shards[i].retained.Load()
+		if s.shards[i].work.n.Load() != 0 {
+			return true
+		}
 	}
-	return n
+	return false
 }
 
 // MVCCStats reports the snapshot-pin and version-chain counters.
@@ -605,11 +855,15 @@ func (s *Store) mvccStats() MVCCStats {
 	m.mu.Lock()
 	pins := int64(len(m.pins))
 	m.mu.Unlock()
+	var retained uint64
+	for i := range s.shards {
+		retained += s.shards[i].retained.Load()
+	}
 	return MVCCStats{
 		Pins:          pins,
 		Taken:         m.taken.Load(),
 		Released:      m.released.Load(),
-		Retained:      s.retainedTotal(),
+		Retained:      retained,
 		Reclaimed:     m.reclaimed.Load(),
 		GCRuns:        m.gcRuns.Load(),
 		ExtraVersions: m.extraGauge.Load(),
@@ -621,9 +875,11 @@ func (s *Store) mvccStats() MVCCStats {
 // ---------------------------------------------------------------------------
 // Version sweep (GC)
 
-// SweepVersions trims every version chain to the low-water mark over the
-// live pins and unlinks deleted objects no pin can still see. With no
-// pins it restores the single-version-per-slot steady state. It takes one
+// SweepVersions trims the owners on every shard's work list to the
+// low-water mark over the live pins, unlinks deleted objects no pin can
+// still see, and puts back the owners a live pin still needs. With no
+// pins it restores the single-version-per-slot steady state. Its cost
+// follows what the pins retained, not the size of the store. It takes one
 // shard write lock at a time (never the store-exclusive lock), so it runs
 // concurrently with reads and with writers on other shards. Returns the
 // number of reclaimed nodes/objects; 0 if another sweep is running.
@@ -632,244 +888,36 @@ func (s *Store) SweepVersions() uint64 {
 		return 0
 	}
 	defer s.mvcc.gcMu.Unlock()
-	stamp := s.retainedTotal()
 	low := s.lowWater()
-	var extras, dead, rec uint64
+	var sum trimmed
 	for i := range s.shards {
 		sh := &s.shards[i]
+		if sh.work.n.Load() == 0 {
+			continue
+		}
 		sh.mu.Lock()
-		sh.snapObjs.Range(func(k, v any) bool {
-			o := v.(*Object)
-			if d := o.deletedSeq.Load(); d != 0 {
-				if d <= low {
-					sh.snapObjs.Delete(k)
-					rec++
-					return true
-				}
-				dead++
+		for _, x := range sh.work.take() {
+			// Unmark before trimming: a concurrent retention either lands
+			// before the trim reads the chain or queues x afresh.
+			if f := x.flag(); f != nil {
+				f.Store(false)
 			}
-			var tombs []string
-			for name, b := range o.attrMap() {
-				e, r, headDead := trimAver(&b.head, low)
-				extras += e
-				rec += r
-				if headDead && o.deletedSeq.Load() == 0 {
-					tombs = append(tombs, name)
-				}
+			t := x.trim(s, low)
+			sum.extras += t.extras
+			sum.rec += t.rec
+			sum.dead += t.dead
+			if t.keep {
+				sh.work.push(x)
 			}
-			if len(tombs) > 0 {
-				o.removeBoxes(tombs)
-				rec += uint64(len(tombs))
-			}
-			e, r := trimMver(o, low)
-			extras += e
-			rec += r
-			if o.book != nil {
-				e, r := trimBook(&o.book.head, low)
-				extras += e
-				rec += r
-			}
-			for _, c := range o.subMap() {
-				e, r := trimCver(&c.hist, low)
-				extras += e
-				rec += r
-			}
-			for _, c := range o.relMap() {
-				e, r := trimCver(&c.hist, low)
-				extras += e
-				rec += r
-			}
-			return true
-		})
-		sh.snapBindIn.Range(func(k, v any) bool {
-			c := v.(*ibChain)
-			e, r, empty := trimIb(&c.head, low)
-			extras += e
-			rec += r
-			if empty {
-				sh.snapBindIn.Delete(k)
-			}
-			return true
-		})
-		sh.snapBindOut.Range(func(k, v any) bool {
-			c := v.(*tbChain)
-			e, r, empty := trimTb(&c.head, low)
-			extras += e
-			rec += r
-			if empty {
-				sh.snapBindOut.Delete(k)
-			}
-			return true
-		})
+		}
 		sh.mu.Unlock()
 	}
-	s.snapClasses.Range(func(k, v any) bool {
-		c := v.(*Class)
-		st := s.stripeOf(c.name)
-		st.mu.Lock()
-		e, r := trimCver(&c.hist, low)
-		st.mu.Unlock()
-		extras += e
-		rec += r
-		return true
-	})
-	rec += s.idxSweep(low)
 	m := &s.mvcc
-	m.extraGauge.Store(extras)
-	m.deadGauge.Store(dead)
-	m.reclaimed.Add(rec)
+	m.extraGauge.Store(sum.extras)
+	m.deadGauge.Store(sum.dead)
+	m.reclaimed.Add(sum.rec)
 	m.gcRuns.Add(1)
-	m.sweepStamp.Store(stamp)
-	return rec
-}
-
-// trimAver cuts an attribute chain below the first node readable at low
-// (every remaining pin has S >= low, so nothing deeper is reachable).
-// Returns (surviving non-head nodes, reclaimed nodes, head-is-dead): the
-// last result marks a single tombstone head no pin distinguishes from an
-// absent slot, so the caller may drop the whole box.
-func trimAver(head *atomic.Pointer[aver], low uint64) (extras, rec uint64, headDead bool) {
-	h := head.Load()
-	var boundary *aver
-	depth := uint64(0)
-	for n := h; n != nil; n = n.prev.Load() {
-		if n.at <= low {
-			boundary = n
-			break
-		}
-		depth++
-	}
-	if boundary != nil {
-		for n := boundary.prev.Load(); n != nil; n = n.prev.Load() {
-			rec++
-		}
-		boundary.prev.Store(nil)
-	}
-	if h != nil {
-		for n := h.prev.Load(); n != nil; n = n.prev.Load() {
-			extras++
-		}
-		headDead = h.v == nil && h.prev.Load() == nil && h.at <= low
-	}
-	_ = depth
-	return extras, rec, headDead
-}
-
-func trimMver(o *Object, low uint64) (extras, rec uint64) {
-	if o.modSeq.Load() <= low {
-		for n := o.modPrev.Load(); n != nil; n = n.prev.Load() {
-			rec++
-		}
-		o.modPrev.Store(nil)
-		return 0, rec
-	}
-	var boundary *mver
-	for n := o.modPrev.Load(); n != nil; n = n.prev.Load() {
-		if n.at <= low {
-			boundary = n
-			break
-		}
-	}
-	if boundary != nil {
-		for n := boundary.prev.Load(); n != nil; n = n.prev.Load() {
-			rec++
-		}
-		boundary.prev.Store(nil)
-	}
-	for n := o.modPrev.Load(); n != nil; n = n.prev.Load() {
-		extras++
-	}
-	return extras, rec
-}
-
-func trimBook(head *atomic.Pointer[bookNode], low uint64) (extras, rec uint64) {
-	var boundary *bookNode
-	for n := head.Load(); n != nil; n = n.prev.Load() {
-		if n.at <= low {
-			boundary = n
-			break
-		}
-	}
-	if boundary != nil {
-		for n := boundary.prev.Load(); n != nil; n = n.prev.Load() {
-			rec++
-		}
-		boundary.prev.Store(nil)
-	}
-	if h := head.Load(); h != nil {
-		for n := h.prev.Load(); n != nil; n = n.prev.Load() {
-			extras++
-		}
-	}
-	return extras, rec
-}
-
-func trimCver(head *atomic.Pointer[cver], low uint64) (extras, rec uint64) {
-	var boundary *cver
-	for n := head.Load(); n != nil; n = n.prev.Load() {
-		if n.at <= low {
-			boundary = n
-			break
-		}
-	}
-	if boundary != nil {
-		for n := boundary.prev.Load(); n != nil; n = n.prev.Load() {
-			rec++
-		}
-		boundary.prev.Store(nil)
-	}
-	if h := head.Load(); h != nil {
-		for n := h.prev.Load(); n != nil; n = n.prev.Load() {
-			extras++
-		}
-	}
-	return extras, rec
-}
-
-func trimIb(head *atomic.Pointer[ibVer], low uint64) (extras, rec uint64, empty bool) {
-	var boundary *ibVer
-	for n := head.Load(); n != nil; n = n.prev.Load() {
-		if n.at <= low {
-			boundary = n
-			break
-		}
-	}
-	if boundary != nil {
-		for n := boundary.prev.Load(); n != nil; n = n.prev.Load() {
-			rec++
-		}
-		boundary.prev.Store(nil)
-	}
-	if h := head.Load(); h != nil {
-		for n := h.prev.Load(); n != nil; n = n.prev.Load() {
-			extras++
-		}
-		empty = len(h.set) == 0 && h.prev.Load() == nil && h.at <= low
-	}
-	return extras, rec, empty
-}
-
-func trimTb(head *atomic.Pointer[tbVer], low uint64) (extras, rec uint64, empty bool) {
-	var boundary *tbVer
-	for n := head.Load(); n != nil; n = n.prev.Load() {
-		if n.at <= low {
-			boundary = n
-			break
-		}
-	}
-	if boundary != nil {
-		for n := boundary.prev.Load(); n != nil; n = n.prev.Load() {
-			rec++
-		}
-		boundary.prev.Store(nil)
-	}
-	if h := head.Load(); h != nil {
-		for n := h.prev.Load(); n != nil; n = n.prev.Load() {
-			extras++
-		}
-		empty = len(h.list) == 0 && h.prev.Load() == nil && h.at <= low
-	}
-	return extras, rec, empty
+	return sum.rec
 }
 
 // removeBoxes drops attribute slots whose whole history is a tombstone

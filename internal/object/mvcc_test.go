@@ -448,4 +448,7 @@ func TestSnapshotRaceTopology(t *testing.T) {
 	if st.Pins != 0 || st.ExtraVersions != 0 || st.DeadObjects != 0 {
 		t.Fatalf("after race: pins %d extra %d dead %d", st.Pins, st.ExtraVersions, st.DeadObjects)
 	}
+	if bad := s.CheckVersionsSwept(); len(bad) != 0 {
+		t.Fatalf("versions left after race: %v", bad)
+	}
 }

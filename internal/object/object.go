@@ -66,6 +66,8 @@ type Object struct {
 	// sees the object iff createdSeq <= S < deletedSeq.
 	createdSeq uint64
 	deletedSeq atomic.Uint64
+	// queued marks the object as on its shard's sweep work list.
+	queued atomic.Bool
 }
 
 // attrMap returns the current attribute slot map; callers must treat the
@@ -166,23 +168,20 @@ func (o *Object) attrValues() map[string]domain.Value {
 // adding a key publishes a map copy; a null value pushes a tombstone when
 // a snapshot pin may still read the old value, otherwise deletes the key
 // (keeping snapshots free of null entries). ceil is the current pin
-// ceiling. Callers hold the owning shard's write lock. Reports how many
-// version nodes were retained for pins.
-func (o *Object) setAttr(name string, v domain.Value, at, ceil uint64) int {
+// ceiling. Callers hold the owning shard's write lock. Reports whether a
+// version node was retained for a pin.
+func (o *Object) setAttr(name string, v domain.Value, at, ceil uint64) bool {
 	old := o.attrMap()
 	if domain.IsNull(v) {
 		b, ok := old[name]
 		if !ok {
-			return 0
+			return false
 		}
 		if h := b.head.Load(); h != nil && (h.at <= ceil || h.prev.Load() != nil) {
 			// A pin may read the current value — or the chain carries
 			// retained tail nodes a pin still needs: tombstone the slot
 			// instead of dropping the box.
-			if b.put(at, nil, ceil) {
-				return 1
-			}
-			return 0
+			return b.put(at, nil, ceil)
 		}
 		m := make(map[string]*attrBox, len(old))
 		for k, x := range old {
@@ -191,13 +190,10 @@ func (o *Object) setAttr(name string, v domain.Value, at, ceil uint64) int {
 			}
 		}
 		o.attrs.Store(&m)
-		return 0
+		return false
 	}
 	if b, ok := old[name]; ok {
-		if b.put(at, &v, ceil) {
-			return 1
-		}
-		return 0
+		return b.put(at, &v, ceil)
 	}
 	m := make(map[string]*attrBox, len(old)+1)
 	for k, x := range old {
@@ -205,7 +201,7 @@ func (o *Object) setAttr(name string, v domain.Value, at, ceil uint64) int {
 	}
 	m[name] = newAttrBoxAt(v, at)
 	o.attrs.Store(&m)
-	return 0
+	return false
 }
 
 // Surrogate returns the system-wide identifier.
@@ -239,6 +235,7 @@ type Class struct {
 	// createdSeq stamps database-level class creation.
 	hist       atomic.Pointer[cver]
 	createdSeq uint64
+	queued     atomic.Bool // on the sweep work list
 }
 
 func newClass(name, elemType string) *Class {

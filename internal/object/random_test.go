@@ -3,7 +3,9 @@ package object_test
 // Randomized property tests: apply long random operation sequences to a
 // store and verify after every step that (a) the internal indexes stay
 // consistent (CheckInvariants) and (b) replaying the emitted journal into
-// a fresh store reproduces a byte-identical state snapshot.
+// a fresh store reproduces a byte-identical state snapshot. Snapshot pins
+// come and go meanwhile, and once the last one is released the sweep must
+// have left every version chain at a single node (CheckVersionsSwept).
 
 import (
 	"math/rand"
@@ -98,6 +100,38 @@ func (d *randomDriver) step() string {
 	}
 }
 
+// pinChurn holds up to three snapshot pins across random operations, so
+// writes retain versions the sweep must later reclaim. It draws from its
+// own RNG, leaving the operation sequence of a seed unchanged.
+type pinChurn struct {
+	rng  *rand.Rand
+	pins []*object.Snapshot
+}
+
+func (p *pinChurn) step(s *object.Store) {
+	switch r := p.rng.Intn(10); {
+	case r == 0 && len(p.pins) < 3:
+		p.pins = append(p.pins, s.Snapshot())
+	case r == 1 && len(p.pins) > 0:
+		i := p.rng.Intn(len(p.pins))
+		p.pins[i].Release()
+		p.pins = append(p.pins[:i], p.pins[i+1:]...)
+	}
+}
+
+// finish releases every pin (the last release sweeps) and audits that
+// nothing retained was left behind.
+func (p *pinChurn) finish(t *testing.T, s *object.Store, seed int64) {
+	t.Helper()
+	for _, sn := range p.pins {
+		sn.Release()
+	}
+	p.pins = nil
+	if bad := s.CheckVersionsSwept(); len(bad) != 0 {
+		t.Fatalf("seed %d: versions left after the last release: %v", seed, bad)
+	}
+}
+
 func TestRandomOpsKeepInvariants(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1989} {
 		s, err := object.NewStore(paperschema.MustGates())
@@ -105,7 +139,9 @@ func TestRandomOpsKeepInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := &randomDriver{rng: rand.New(rand.NewSource(seed)), s: s}
+		pins := &pinChurn{rng: rand.New(rand.NewSource(-seed))}
 		for i := 0; i < 400; i++ {
+			pins.step(s)
 			label := d.step()
 			if i%20 == 0 { // invariants are O(n); sample
 				if bad := s.CheckInvariants(); len(bad) != 0 {
@@ -116,6 +152,7 @@ func TestRandomOpsKeepInvariants(t *testing.T) {
 		if bad := s.CheckInvariants(); len(bad) != 0 {
 			t.Fatalf("seed %d final: %v", seed, bad)
 		}
+		pins.finish(t, s, seed)
 	}
 }
 
@@ -135,9 +172,12 @@ func TestRandomOpsJournalReplayEquivalence(t *testing.T) {
 			journal = append(journal, dec)
 		})
 		d := &randomDriver{rng: rand.New(rand.NewSource(seed)), s: s}
+		pins := &pinChurn{rng: rand.New(rand.NewSource(-seed))}
 		for i := 0; i < 400; i++ {
+			pins.step(s)
 			d.step()
 		}
+		pins.finish(t, s, seed)
 		vm := version.NewManager(s)
 		want := wal.EncodeSnapshot(s.Export(), vm.Export())
 

@@ -122,11 +122,12 @@ type shard struct {
 	//   snapBindIn  inheritor sur -> *ibChain (versions of byInheritor)
 	//   snapBindOut transmitter sur -> *tbChain (versions of byTransmitter)
 	//
-	// retained counts version nodes and dead objects kept alive for pins;
-	// the sweep pacing compares its total against the last sweep.
+	// work queues the owners of version state kept alive for pins (see
+	// workList); retained counts every retention, lifetime.
 	snapObjs    sync.Map
 	snapBindIn  sync.Map
 	snapBindOut sync.Map
+	work        workList
 	retained    atomic.Uint64
 
 	hits, misses, invalidations atomic.Uint64
@@ -599,7 +600,9 @@ func (s *Store) NewSubobject(parent domain.Surrogate, subclass string) (domain.S
 		seq := s.seq.Add(1)
 		s.publishObj(o, seq)
 		s.commitClassHist(seq)
-		po.pushModSeq(seq, s.ceiling())
+		if po.pushModSeq(seq, s.ceiling()) {
+			s.retain(s.shardOf(parent), po)
+		}
 		s.markDirty(parent)
 		// Gaining a member is a visible change of the subclass: inheritors of
 		// the parent (e.g. implementations of an interface gaining a pin) are
