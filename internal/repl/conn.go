@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -81,47 +82,98 @@ func (p *pipeConn) Close() error {
 // memory. Generous enough for a full checkpoint snapshot frame.
 const maxStreamMessage = 1 << 30
 
+// streamReadBuffer is the size of each stream conn's read buffer: one
+// read syscall returns a message's prefix, its body and any pipelined
+// messages queued behind it. A larger body bypasses the buffer and is
+// read straight into the message.
+const streamReadBuffer = 4 << 10
+
+// streamEagerAlloc is the largest body Recv allocates whole on the
+// strength of the length prefix alone. A longer body grows as its bytes
+// arrive, so a prefix that lies costs the receiver no more memory than
+// the peer actually sends (at most twice that, from the doubling).
+const streamEagerAlloc = 64 << 10
+
 // streamConn frames messages over any byte stream (a TCP connection, a
 // unix socket, a pair of pipes) with a 4-byte little-endian length
 // prefix. Frame integrity still comes from the CRC inside each message.
+//
+// Each Send is one vectored write of prefix and message (a single
+// writev on a TCP or unix connection, so the pair leaves as one
+// segment and the peer wakes once); each Recv reads through a buffer,
+// so a small message costs one read syscall, or none when it arrived
+// behind the previous one.
 type streamConn struct {
 	rw io.ReadWriteCloser
-	wm sync.Mutex
-	rm sync.Mutex
+
+	// Send's scratch, reused so a Send allocates nothing.
+	wm   sync.Mutex // one Send at a time
+	whdr [4]byte
+	iov  [2][]byte
+	bufs net.Buffers
+
+	rm   sync.Mutex // one Recv at a time
+	r    *bufio.Reader
+	rhdr [4]byte
+	rerr error
 }
 
 // StreamConn wraps a byte stream as a message Conn — the process-to-
 // process transport.
-func StreamConn(rw io.ReadWriteCloser) Conn { return &streamConn{rw: rw} }
+func StreamConn(rw io.ReadWriteCloser) Conn {
+	return &streamConn{rw: rw, r: bufio.NewReaderSize(rw, streamReadBuffer)}
+}
 
 func (s *streamConn) Send(b []byte) error {
 	s.wm.Lock()
 	defer s.wm.Unlock()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := s.rw.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := s.rw.Write(b)
+	binary.LittleEndian.PutUint32(s.whdr[:], uint32(len(b)))
+	s.iov = [2][]byte{s.whdr[:], b}
+	s.bufs = s.iov[:]
+	_, err := s.bufs.WriteTo(s.rw)
+	s.iov[1] = nil // do not pin the caller's message
 	return err
 }
 
+// Recv returns the next message. The first error is sticky: a stream
+// that failed mid-message, or carried a prefix above maxStreamMessage,
+// has lost its framing and cannot be resynchronised.
 func (s *streamConn) Recv() ([]byte, error) {
 	s.rm.Lock()
 	defer s.rm.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(s.rw, hdr[:]); err != nil {
+	if s.rerr != nil {
+		return nil, s.rerr
+	}
+	b, err := s.recv()
+	if err != nil {
+		s.rerr = err
+	}
+	return b, err
+}
+
+func (s *streamConn) recv() ([]byte, error) {
+	if _, err := io.ReadFull(s.r, s.rhdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxStreamMessage {
+	size := binary.LittleEndian.Uint32(s.rhdr[:])
+	if size > maxStreamMessage {
 		return nil, ErrFrame
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(s.rw, b); err != nil {
-		return nil, err
+	n := int(size)
+	b := make([]byte, min(n, streamEagerAlloc))
+	for off := 0; ; {
+		if _, err := io.ReadFull(s.r, b[off:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the prefix promised more
+			}
+			return nil, err
+		}
+		if len(b) == n {
+			return b, nil
+		}
+		off = len(b)
+		b = append(b, make([]byte, min(n-off, off))...)
 	}
-	return b, nil
 }
 
 func (s *streamConn) Close() error { return s.rw.Close() }

@@ -71,7 +71,9 @@ type Config struct {
 	WALStats func() cadcam.WALStats
 
 	// Logf, when set, receives one line per torn-down session that
-	// ended on a transport or protocol error.
+	// ended on a transport or protocol error, and one per session
+	// transaction whose teardown abort failed (its compensation may not
+	// be durable).
 	Logf func(format string, args ...any)
 }
 

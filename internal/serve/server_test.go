@@ -2,12 +2,16 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cadcam"
 	"cadcam/internal/domain"
+	"cadcam/internal/fault"
 	"cadcam/internal/paperschema"
 )
 
@@ -476,5 +480,72 @@ func TestServeDrain(t *testing.T) {
 	conn := s.Pipe()
 	if _, err := DialConn(conn, DialOptions{}); err == nil {
 		t.Fatal("dial after drain succeeded")
+	}
+}
+
+// TestServeTeardownAbortErrorLogged: teardown aborts the transaction a
+// disconnecting session left open. When that abort fails — the journal
+// has gone sticky, so the compensation records never reached disk — the
+// failure reaches Config.Logf with the session's user and the
+// transaction id, and the locks are released all the same.
+func TestServeTeardownAbortErrorLogged(t *testing.T) {
+	db, err := cadcam.Open(paperschema.MustGates(), cadcam.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() }) // returns the sticky error
+	var mu sync.Mutex
+	var lines []string
+	s := testServer(t, Config{DB: db, Logf: func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	c, err := DialConn(s.Pipe(), DialOptions{User: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iface, err := c.NewObject(paperschema.TypeGateInterface, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetAttr(iface, "Width", domain.Int(3)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Poison the journal: the next group-commit sync fails and sticks.
+	if err := fault.Arm("wal/sync-error=error(injected fsync failure)@1"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Reset()
+	if _, err := db.NewObject(paperschema.TypeGateInterface, ""); err == nil {
+		t.Fatal("write with a failing fsync reported success")
+	}
+	sticky := db.Err()
+	if sticky == nil {
+		t.Fatal("journal error did not stick")
+	}
+
+	c.Close()
+	want := fmt.Sprintf("teardown abort of txn %d for user %q: %v", id, "alice", sticky)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		logged := strings.Join(lines, "\n")
+		mu.Unlock()
+		if strings.Contains(logged, want) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("teardown abort error not logged; want %q in:\n%s", want, logged)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := db.Txns().LockTableStats(); st.Objects != 0 || st.Granted != 0 {
+		t.Fatalf("failed abort leaked locks: %+v", st)
 	}
 }

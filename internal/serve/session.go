@@ -445,7 +445,12 @@ func (s *session) teardown() {
 				s.srv.logf("serve: drain-abort failpoint: %v", err)
 			}
 		}
-		_ = s.txn.Abort()
+		// A failed abort means the compensation records may never
+		// reach disk (a poisoned journal); the locks are released
+		// either way, but the operator must hear of it.
+		if err := s.txn.Abort(); err != nil {
+			s.srv.logf("serve: teardown abort of txn %d for user %q: %v", s.txn.ID(), s.user, err)
+		}
 		s.txn = nil
 		s.srv.txnsAborted.Add(1)
 	}
