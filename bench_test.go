@@ -878,6 +878,44 @@ func BenchmarkMVCC_SnapshotRead(b *testing.B) {
 			}
 		}
 	})
+	// snapshot-walk: after the pin, a rebind elsewhere on impl's shard
+	// bumps that shard's epoch and a live read memoizes the route again
+	// at the new epoch, so no route matches the pin: every pinned read
+	// walks the chain through the snapshot indexes.
+	b.Run("snapshot-walk", func(b *testing.B) {
+		st := db.Store()
+		var other cadcam.Surrogate
+		for other == 0 || st.ShardIndex(other) != st.ShardIndex(impl) {
+			if other, err = db.NewObject(paperschema.TypeGateImplementation, ""); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := db.Bind(paperschema.RelAllOfGateInterface, other, iface); err != nil {
+			b.Fatal(err)
+		}
+		v := db.SnapshotView()
+		defer v.Release()
+		if err := db.Unbind(paperschema.RelAllOfGateInterface, other); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.Bind(paperschema.RelAllOfGateInterface, other, iface); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.GetAttr(impl, "Length"); err != nil {
+			b.Fatal(err)
+		}
+		hits := st.Stats().Hits
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := v.GetAttr(impl, "Length"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if got := st.Stats().Hits; got != hits {
+			b.Fatalf("%d pinned reads hit the route cache; want every read to walk", got-hits)
+		}
+	})
 }
 
 // BenchmarkWritersDuringScan measures 8-writer SetAttr latency with

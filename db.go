@@ -84,6 +84,10 @@ var (
 // manager.
 var ErrFrozenVersion = errors.New("cadcam: version is frozen")
 
+// ErrRegisteredVersion reports a delete that would remove a registered
+// version, directly or through the delete cascade.
+var ErrRegisteredVersion = errors.New("cadcam: object is a registered version")
+
 // Durability selects when a mutation is acknowledged relative to journal
 // I/O.
 type Durability int
@@ -299,6 +303,14 @@ func Open(cat *schema.Catalog, opts Options) (*Database, error) {
 	db.store.SetWriteGuard(func(sur domain.Surrogate) error {
 		if db.versions.Frozen(sur) {
 			return fmt.Errorf("%w: %s", ErrFrozenVersion, sur)
+		}
+		return nil
+	})
+	// A deleted version would leave the version registry pointing at a
+	// missing object, and the next checkpoint could not be reopened.
+	db.store.SetDeleteGuard(func(sur domain.Surrogate) error {
+		if db.versions.Registered(sur) {
+			return fmt.Errorf("%w: %s", ErrRegisteredVersion, sur)
 		}
 		return nil
 	})

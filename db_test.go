@@ -361,7 +361,10 @@ func TestVersionOpsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deleting the version object after registration: recovery must
-	// tolerate the journal order (lenient version replay).
+	// tolerate the journal order (lenient version replay). Deletes of
+	// registered versions are refused now, but journals written before
+	// that carry them; lifting the guard reproduces such a journal.
+	db.Store().SetDeleteGuard(nil)
 	if err := db.Delete(impl); err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +375,63 @@ func TestVersionOpsDurable(t *testing.T) {
 	defer db2.Close()
 	if db2.Exists(impl) {
 		t.Error("deleted version object recovered")
+	}
+}
+
+// TestDeleteRegisteredVersionRefused: deleting a registered version —
+// directly, or as part of another object's delete cascade — is refused
+// without journaling, so the version registry never names a missing
+// object and the directory still reopens after a checkpoint.
+func TestDeleteRegisteredVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	db := diskDB(t, dir)
+	_, iface, impl := buildGateScene(t, db)
+	if err := db.DefineDesign("d", iface); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddVersion("d", impl, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	// A pin of a standalone interface registered under an unconstrained
+	// design sits in the delete cascade of its parent.
+	parent, err := db.NewObject(paperschema.TypeGateInterfaceI, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, err := db.NewSubobject(parent, "Pins")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DefineDesign("pins", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddVersion("pins", pin, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ del, version Surrogate }{{impl, impl}, {parent, pin}} {
+		seq := db.Store().Seq()
+		if err := db.Delete(c.del); !errors.Is(err, ErrRegisteredVersion) {
+			t.Fatalf("Delete(%s): %v, want ErrRegisteredVersion", c.del, err)
+		}
+		if !db.Exists(c.del) || !db.Exists(c.version) {
+			t.Fatalf("Delete(%s) refused but removed objects", c.del)
+		}
+		if got := db.Store().Seq(); got != seq {
+			t.Fatalf("Delete(%s) refused but consumed sequence %d -> %d", c.del, seq, got)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := diskDB(t, dir)
+	defer db2.Close()
+	for _, sur := range []Surrogate{impl, parent, pin} {
+		if !db2.Exists(sur) {
+			t.Errorf("%s missing after reopen", sur)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package model_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"cadcam/internal/object"
 	"cadcam/internal/oplog"
 	"cadcam/internal/paperschema"
+	"cadcam/internal/schema"
 	"cadcam/internal/version"
 	"cadcam/internal/wal"
 )
@@ -51,12 +53,14 @@ func runDiff(t *testing.T, seed int64, steps int) {
 			pins = append(pins, st.Snapshot())
 		case r == 1 && len(pins) > 0:
 			j := pinRng.Intn(len(pins))
+			checkPin(t, cat, records, pins[j])
 			pins[j].Release()
 			pins = append(pins[:j], pins[j+1:]...)
 		}
 		w.step()
 	}
 	for _, sn := range pins {
+		checkPin(t, cat, records, sn)
 		sn.Release()
 	}
 	if bad := st.CheckVersionsSwept(); len(bad) != 0 {
@@ -66,17 +70,7 @@ func runDiff(t *testing.T, seed int64, steps int) {
 		t.Fatalf("only %d/%d operations succeeded; generator is ineffective", w.successes, steps)
 	}
 
-	m := model.New(cat)
-	for i, rec := range records {
-		op, err := oplog.Decode(rec)
-		if err != nil {
-			t.Fatalf("record %d: decode: %v", i, err)
-		}
-		if err := m.Apply(op); err != nil {
-			t.Fatalf("record %d (kind %d): model diverged: %v", i, op.Kind, err)
-		}
-	}
-
+	m := modelAt(t, cat, records, math.MaxUint64)
 	vs := &version.ManagerState{}
 	got := wal.EncodeSnapshot(st.Export(), vs)
 	want := wal.EncodeSnapshot(m.Export(), vs)
@@ -86,10 +80,59 @@ func runDiff(t *testing.T, seed int64, steps int) {
 	}
 
 	// Read resolution must agree on every live object and probe name.
+	checkReads(t, "live", st, m, cat)
+}
+
+// modelAt replays the journaled records with Seq <= seq into a fresh
+// model (records without a sequence, like delete-policy changes, always
+// apply).
+func modelAt(t *testing.T, cat *schema.Catalog, records [][]byte, seq uint64) *model.Model {
+	t.Helper()
+	m := model.New(cat)
+	for i, rec := range records {
+		op, err := oplog.Decode(rec)
+		if err != nil {
+			t.Fatalf("record %d: decode: %v", i, err)
+		}
+		if op.Seq > seq {
+			continue
+		}
+		if err := m.Apply(op); err != nil {
+			t.Fatalf("record %d (kind %d): model diverged: %v", i, op.Kind, err)
+		}
+	}
+	return m
+}
+
+// checkPin compares a pinned snapshot's reads with the model of the
+// journal truncated at the pin's sequence.
+func checkPin(t *testing.T, cat *schema.Catalog, records [][]byte, sn *object.Snapshot) {
+	t.Helper()
+	checkReads(t, fmt.Sprintf("pin@%d", sn.Seq()), sn, modelAt(t, cat, records, sn.Seq()), cat)
+}
+
+// reads is the read surface the oracle checks: the live store or a pin.
+type reads interface {
+	Surrogates() []domain.Surrogate
+	TypeOf(sur domain.Surrogate) (string, error)
+	GetAttr(sur domain.Surrogate, name string) (domain.Value, error)
+	Members(sur domain.Surrogate, name string) ([]domain.Surrogate, error)
+}
+
+// checkReads requires r's attribute and subclass resolution to agree with
+// the model on every visible object, and the binding bookkeeping to agree
+// on every binding object.
+func checkReads(t *testing.T, what string, r reads, m *model.Model, cat *schema.Catalog) {
+	t.Helper()
+	books := make(map[domain.Surrogate]map[string]domain.Value)
+	for _, b := range m.Export().Bindings {
+		books[b.Sur] = b.Attrs
+	}
 	probes := []string{"Length", "Width", "TimeBehavior", "SimSlot", "PinId", "InOut"}
 	classes := []string{"Pins", "SubGates"}
-	for _, sur := range st.Surrogates() {
-		tn, err := st.TypeOf(sur)
+	bookkeeping := []string{object.AttrTransmitterUpdates, object.AttrLastUpdateSeq, object.AttrAcknowledgedSeq}
+	for _, sur := range r.Surrogates() {
+		tn, err := r.TypeOf(sur)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,26 +140,39 @@ func runDiff(t *testing.T, seed int64, steps int) {
 			continue
 		}
 		if _, isInher := cat.InherRelType(tn); isInher {
+			book, ok := books[sur]
+			if !ok {
+				t.Fatalf("%s: binding %s(%s) is not in the model", what, tn, sur)
+			}
+			for _, name := range bookkeeping {
+				gv, err := r.GetAttr(sur, name)
+				if err != nil {
+					t.Fatalf("%s: %s(%s).%s: %v", what, tn, sur, name, err)
+				}
+				if !bytes.Equal(encVal(gv), encVal(book[name])) {
+					t.Fatalf("%s: %s(%s).%s: store %v, model %v", what, tn, sur, name, gv, book[name])
+				}
+			}
 			continue
 		}
 		for _, name := range probes {
-			gv, gerr := st.GetAttr(sur, name)
+			gv, gerr := r.GetAttr(sur, name)
 			mv, merr := m.ResolveAttr(sur, name)
 			if (gerr != nil) != (merr != nil) {
-				t.Fatalf("%s(%s).%s: store err %v, model err %v", tn, sur, name, gerr, merr)
+				t.Fatalf("%s: %s(%s).%s: store err %v, model err %v", what, tn, sur, name, gerr, merr)
 			}
 			if gerr == nil && !bytes.Equal(encVal(gv), encVal(mv)) {
-				t.Fatalf("%s(%s).%s: store %v, model %v", tn, sur, name, gv, mv)
+				t.Fatalf("%s: %s(%s).%s: store %v, model %v", what, tn, sur, name, gv, mv)
 			}
 		}
 		for _, name := range classes {
-			gm, gerr := st.Members(sur, name)
+			gm, gerr := r.Members(sur, name)
 			mm, merr := m.ResolveMembers(sur, name)
 			if (gerr != nil) != (merr != nil) {
-				t.Fatalf("%s(%s).%s members: store err %v, model err %v", tn, sur, name, gerr, merr)
+				t.Fatalf("%s: %s(%s).%s members: store err %v, model err %v", what, tn, sur, name, gerr, merr)
 			}
 			if gerr == nil && !equalSurs(gm, mm) {
-				t.Fatalf("%s(%s).%s members: store %v, model %v", tn, sur, name, gm, mm)
+				t.Fatalf("%s: %s(%s).%s members: store %v, model %v", what, tn, sur, name, gm, mm)
 			}
 		}
 	}

@@ -192,23 +192,13 @@ func (s *Store) BindingOf(inheritor domain.Surrogate, relType string) (*Binding,
 // BindingsOfTransmitter returns all bindings in which the object is the
 // transmitter (its inheritors).
 func (s *Store) BindingsOfTransmitter(transmitter domain.Surrogate) []*Binding {
-	sh := s.shardOf(transmitter)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return append([]*Binding(nil), sh.byTransmitter[transmitter]...)
+	return s.live.BindingsOfTransmitter(transmitter)
 }
 
 // BindingsOfInheritor returns all bindings in which the object is the
 // inheritor, keyed by relationship type name.
 func (s *Store) BindingsOfInheritor(inheritor domain.Surrogate) map[string]*Binding {
-	sh := s.shardOf(inheritor)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	out := make(map[string]*Binding, len(sh.byInheritor[inheritor]))
-	for k, v := range sh.byInheritor[inheritor] {
-		out[k] = v
-	}
-	return out
+	return s.live.BindingsOfInheritor(inheritor)
 }
 
 // bindingLocked finds the inheritor's binding; callers hold at least one

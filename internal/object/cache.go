@@ -85,25 +85,6 @@ func (rc *routeCache) reset() {
 	rc.stored.Store(0)
 }
 
-func loadRoute(m *atomic.Pointer[sync.Map], sur domain.Surrogate, name string) (*route, bool) {
-	v, ok := m.Load().Load(routeKey{sur, name})
-	if !ok {
-		return nil, false
-	}
-	return v.(*route), true
-}
-
-// valid reports whether every shard the route's chain crosses still has
-// the epoch recorded at resolution time.
-func (s *Store) valid(r *route) bool {
-	for _, st := range r.stamps {
-		if s.shards[st.shard].epoch.Load() != st.epoch {
-			return false
-		}
-	}
-	return true
-}
-
 // stampChain collects the current epochs of the distinct shards along a
 // chain. Callers hold at least one shard lock, so the epochs cannot move.
 func (s *Store) stampChain(chain []domain.Surrogate) []shardStamp {
@@ -122,46 +103,6 @@ func (s *Store) stampChain(chain []domain.Surrogate) []shardStamp {
 		}
 	}
 	return stamps
-}
-
-// loadAttrRoute returns a memoized attribute route if it is still valid
-// against the epochs of every shard it crosses.
-func (s *Store) loadAttrRoute(sur domain.Surrogate, name string) (*route, bool) {
-	r, ok := loadRoute(&s.shardOf(sur).routes.attrs, sur, name)
-	if !ok || !s.valid(r) {
-		return nil, false
-	}
-	return r, true
-}
-
-// loadMembersRoute is loadAttrRoute for subclass resolution.
-func (s *Store) loadMembersRoute(sur domain.Surrogate, name string) (*route, bool) {
-	r, ok := loadRoute(&s.shardOf(sur).routes.members, sur, name)
-	if !ok || !s.valid(r) {
-		return nil, false
-	}
-	return r, true
-}
-
-// memoAttr stores an attribute route resolved under a shard lock (no
-// epoch can move while any shard lock is held, so the stamps are exact).
-func (s *Store) memoAttr(sur domain.Surrogate, name string, owner *Object, chain []domain.Surrogate) *route {
-	r := &route{stamps: s.stampChain(chain), owner: owner, chain: chain}
-	sh := s.shardOf(sur)
-	sh.routes.attrs.Load().Store(routeKey{sur, name}, r)
-	sh.routes.stored.Add(1)
-	sh.misses.Add(1)
-	return r
-}
-
-// memoMembers stores a members route resolved under a shard lock.
-func (s *Store) memoMembers(sur domain.Surrogate, name string, cls *Class, chain []domain.Surrogate) *route {
-	r := &route{stamps: s.stampChain(chain), cls: cls, chain: chain}
-	sh := s.shardOf(sur)
-	sh.routes.members.Load().Store(routeKey{sur, name}, r)
-	sh.routes.stored.Add(1)
-	sh.misses.Add(1)
-	return r
 }
 
 // bumpEpoch invalidates every memoized route that crosses the shard.
@@ -267,20 +208,29 @@ func (s *Store) ResolveChain(sur domain.Surrogate, member string) ([]domain.Surr
 	return chain, err
 }
 
+// ChainOwner returns the object that owns the value member resolves to on
+// sur: the end of its resolution chain. Members sharing an owner share the
+// value, which the query planner's route-cache probe exploits.
+func (s *Store) ChainOwner(sur domain.Surrogate, member string) (domain.Surrogate, bool) {
+	chain, err := s.ResolveChain(sur, member)
+	if err != nil || len(chain) == 0 {
+		return 0, false
+	}
+	return chain[len(chain)-1], true
+}
+
 // ResolveChainStamped is ResolveChain plus a ChainStamp recording the
 // structure epochs of every shard the chain crosses, so the caller can
 // cheaply re-check (StampValid) that the chain is still current after
 // acquiring locks on it.
 func (s *Store) ResolveChainStamped(sur domain.Surrogate, member string) ([]domain.Surrogate, ChainStamp, error) {
-	if r, ok := s.loadAttrRoute(sur, member); ok {
-		s.shardOf(sur).hits.Add(1)
-		return r.chain, ChainStamp{stamps: r.stamps}, nil
-	}
-	if r, ok := s.loadMembersRoute(sur, member); ok {
-		s.shardOf(sur).hits.Add(1)
-		return r.chain, ChainStamp{stamps: r.stamps}, nil
-	}
 	sh := s.shardOf(sur)
+	if r, ok := s.live.route(sh, false, sur, member); ok {
+		return r.chain, ChainStamp{stamps: r.stamps}, nil
+	}
+	if r, ok := s.live.route(sh, true, sur, member); ok {
+		return r.chain, ChainStamp{stamps: r.stamps}, nil
+	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	o, ok := sh.objects[sur]
@@ -300,7 +250,7 @@ func (s *Store) ResolveChainStamped(sur domain.Surrogate, member string) ([]doma
 		if !a.Inherited() {
 			return self, selfStamp(), nil
 		}
-		_, r, err := s.resolveAttrLocked(o, member)
+		_, r, err := s.live.resolveAttr(o, member)
 		if err != nil {
 			return nil, ChainStamp{}, err
 		}
@@ -310,7 +260,7 @@ func (s *Store) ResolveChainStamped(sur domain.Surrogate, member string) ([]doma
 		if !sd.Inherited() {
 			return self, selfStamp(), nil
 		}
-		r, err := s.resolveMembersLocked(o, member)
+		_, r, err := s.live.resolveMembers(o, member)
 		if err != nil || r == nil {
 			return self, selfStamp(), err
 		}

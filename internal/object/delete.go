@@ -17,10 +17,11 @@ import (
 //     participates;
 //   - inheritance bindings in which it is the inheritor.
 //
-// If the object or any cascaded object is a *transmitter* with inheritors
-// outside the cascade, the delete policy decides: DeleteRestrict (default)
-// refuses the whole delete; DeleteUnbind detaches those inheritors and
-// fires an Unbound update event for each.
+// The delete guard (SetDeleteGuard) may veto the whole delete on any
+// cascaded object. If the object or any cascaded object is a
+// *transmitter* with inheritors outside the cascade, the delete policy
+// decides: DeleteRestrict (default) refuses the whole delete; DeleteUnbind
+// detaches those inheritors and fires an Unbound update event for each.
 //
 // The whole cascade runs store-wide exclusive and consumes one sequence
 // number, so replaying the journaled op reproduces the same final state
@@ -40,11 +41,19 @@ func (s *Store) Delete(sur domain.Surrogate) error {
 		cascade := make(map[domain.Surrogate]bool)
 		s.collectCascadeLocked(root, cascade)
 
-		// Phase 2: policy check for transmitters with external inheritors.
-		// The cascade set is iterated in surrogate order throughout so the
-		// chosen restrict error, the detach-event order and the removal
-		// order are reproducible run to run (and match the replay oracle).
+		// Phase 2: the delete guard vetoes on any cascaded object, then the
+		// policy check for transmitters with external inheritors. The
+		// cascade set is iterated in surrogate order throughout so the
+		// chosen error, the detach-event order and the removal order are
+		// reproducible run to run (and match the replay oracle).
 		members := sortedSurs(cascade)
+		if s.deleteGuard != nil {
+			for _, member := range members {
+				if err := s.deleteGuard(member); err != nil {
+					return false, err
+				}
+			}
+		}
 		var detach []*Binding
 		for _, member := range members {
 			for _, b := range s.shardOf(member).byTransmitter[member] {

@@ -5,25 +5,69 @@ import (
 	"cadcam/internal/expr"
 )
 
-// lockedEnv implements expr.Env for one object, assuming a shard lock is
-// already held (any shard lock freezes topology store-wide, and attribute
-// slots publish atomically, so chain walks may cross shards). It backs
-// constraint checking inside store operations.
+// Env returns an expr.Env evaluating names against the given object:
+// attributes (own and inherited), local subclasses, sub-relationships and
+// participant roles. Version-selection queries, user-level constraint
+// checks and the query planner use it. A live env takes the read object's
+// shard read lock per slow-path read, so it must not be used from inside
+// store operations (lockedEnv serves those); values read through other
+// shards are loaded atomically per value, and the view is not a
+// store-wide snapshot. A snapshot's env reads everything at its pin.
+func (rp *readPoint) Env(sur domain.Surrogate) expr.Env {
+	return env{rp: rp, sur: sur}
+}
+
+type env struct {
+	rp  *readPoint
+	sur domain.Surrogate
+}
+
+func (e env) Lookup(name string) (domain.Value, bool) {
+	v, err := e.rp.GetAttr(e.sur, name)
+	return v, err == nil
+}
+
+func (e env) Collection(name string) ([]domain.Value, bool) {
+	sh := e.rp.s.shardOf(e.sur)
+	if r, ok := e.rp.route(sh, true, e.sur, name); ok {
+		// Members routes exist only on non-relationship objects, so no
+		// participant role can shadow the subclass.
+		return refs(e.rp.copyMembers(r.cls)), true
+	}
+	if e.rp.freeze(sh) {
+		defer sh.mu.RUnlock()
+	}
+	o, ok := e.rp.obj(e.sur)
+	if !ok {
+		return nil, false
+	}
+	return e.rp.collection(o, name)
+}
+
+func (e env) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
+	return env{rp: e.rp, sur: domain.Surrogate(ref)}.Lookup(attr)
+}
+
+func (e env) CollectionOf(ref domain.Ref, name string) ([]domain.Value, bool) {
+	return env{rp: e.rp, sur: domain.Surrogate(ref)}.Collection(name)
+}
+
+// lockedEnv is the live env for code already holding a shard lock (any
+// shard lock freezes topology store-wide, and attribute slots publish
+// atomically, so chain walks may cross shards). It backs constraint
+// checking inside store operations.
 type lockedEnv struct {
 	s *Store
 	o *Object
 }
 
 func (e *lockedEnv) Lookup(name string) (domain.Value, bool) {
-	v, err := e.s.getAttrLocked(e.o, name)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
+	v, err := e.s.live.attr(e.o, name)
+	return v, err == nil
 }
 
 func (e *lockedEnv) Collection(name string) ([]domain.Value, bool) {
-	return e.s.collectionLocked(e.o, name)
+	return e.s.live.collection(e.o, name)
 }
 
 func (e *lockedEnv) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
@@ -31,11 +75,8 @@ func (e *lockedEnv) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
 	if !ok {
 		return nil, false
 	}
-	v, err := e.s.getAttrLocked(o, attr)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
+	v, err := e.s.live.attr(o, attr)
+	return v, err == nil
 }
 
 func (e *lockedEnv) CollectionOf(ref domain.Ref, name string) ([]domain.Value, bool) {
@@ -43,100 +84,12 @@ func (e *lockedEnv) CollectionOf(ref domain.Ref, name string) ([]domain.Value, b
 	if !ok {
 		return nil, false
 	}
-	return e.s.collectionLocked(o, name)
+	return e.s.live.collection(o, name)
 }
 
-// collectionLocked resolves a name as a collection on an object: a local
-// subclass or sub-relationship (following inheritance), a set-of
-// participant role, or a set/list-valued attribute.
-func (s *Store) collectionLocked(o *Object, name string) ([]domain.Value, bool) {
-	if o.isRel {
-		if v, ok := o.participants[name]; ok {
-			if set, isSet := v.(*domain.Set); isSet {
-				return set.Elems(), true
-			}
-			return []domain.Value{v}, true
-		}
-	}
-	if members, err := s.membersLocked(o, name); err == nil {
-		out := make([]domain.Value, len(members))
-		for i, m := range members {
-			out[i] = domain.Ref(m)
-		}
-		return out, true
-	}
-	if v, err := s.getAttrLocked(o, name); err == nil {
-		switch x := v.(type) {
-		case *domain.Set:
-			return x.Elems(), true
-		case *domain.List:
-			return x.Elems(), true
-		}
-	}
-	return nil, false
-}
-
-// storeEnv is the exported Env: every call takes the object's shard read
-// lock (which freezes topology store-wide, see shard), so it must not be
-// used from inside store operations (use lockedEnv there). Attribute
-// values read through other shards are loaded atomically per value; the
-// view is not a store-wide snapshot.
-type storeEnv struct {
-	s   *Store
-	sur domain.Surrogate
-}
-
-// Env returns an expr.Env evaluating names against the given object:
-// attributes (own and inherited), local subclasses, sub-relationships and
-// participant roles. Version-selection queries and user-level constraint
-// checks use it.
-func (s *Store) Env(sur domain.Surrogate) expr.Env {
-	return &storeEnv{s: s, sur: sur}
-}
-
-func (e *storeEnv) Lookup(name string) (domain.Value, bool) {
-	sh := e.s.shardOf(e.sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[e.sur]
-	if !ok {
-		return nil, false
-	}
-	return (&lockedEnv{s: e.s, o: o}).Lookup(name)
-}
-
-func (e *storeEnv) Collection(name string) ([]domain.Value, bool) {
-	sh := e.s.shardOf(e.sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[e.sur]
-	if !ok {
-		return nil, false
-	}
-	return (&lockedEnv{s: e.s, o: o}).Collection(name)
-}
-
-func (e *storeEnv) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
-	sh := e.s.shardOf(e.sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[e.sur]
-	if !ok {
-		return nil, false
-	}
-	return (&lockedEnv{s: e.s, o: o}).AttrOf(ref, attr)
-}
-
-func (e *storeEnv) CollectionOf(ref domain.Ref, name string) ([]domain.Value, bool) {
-	sh := e.s.shardOf(e.sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[e.sur]
-	if !ok {
-		return nil, false
-	}
-	return (&lockedEnv{s: e.s, o: o}).CollectionOf(ref, name)
-}
+// Env returns an expr.Env evaluating names against the given object at
+// the live state; see readPoint.Env.
+func (s *Store) Env(sur domain.Surrogate) expr.Env { return s.live.Env(sur) }
 
 // ClassEnv returns an expr.Env over the database-level classes, for
 // queries that scan class extents (e.g. top-down version selection).
@@ -154,36 +107,13 @@ func (e *classEnv) Collection(name string) ([]domain.Value, bool) {
 	if !ok {
 		return nil, false
 	}
-	items := cls.items()
-	out := make([]domain.Value, len(items))
-	for i, m := range items {
-		out[i] = domain.Ref(m)
-	}
-	return out, true
+	return refs(cls.items()), true
 }
 
 func (e *classEnv) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
-	sh := e.s.shardOf(domain.Surrogate(ref))
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[domain.Surrogate(ref)]
-	if !ok {
-		return nil, false
-	}
-	v, err := e.s.getAttrLocked(o, attr)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
+	return env{rp: &e.s.live, sur: domain.Surrogate(ref)}.Lookup(attr)
 }
 
 func (e *classEnv) CollectionOf(ref domain.Ref, name string) ([]domain.Value, bool) {
-	sh := e.s.shardOf(domain.Surrogate(ref))
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[domain.Surrogate(ref)]
-	if !ok {
-		return nil, false
-	}
-	return e.s.collectionLocked(o, name)
+	return env{rp: &e.s.live, sur: domain.Surrogate(ref)}.Collection(name)
 }

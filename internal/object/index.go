@@ -283,47 +283,13 @@ func (ix *attrIndex) refresh(s *Store, sur domain.Surrogate, seq uint64) {
 		ix.update(s, sur, ikey{}, false, seq)
 		return
 	}
-	v, ok := s.idxResolve(o, ix.attrName)
-	if !ok || domain.IsNull(v) {
+	v, _, err := s.indexing.resolveAttr(o, ix.attrName)
+	if err != nil || domain.IsNull(v) {
 		ix.update(s, sur, ikey{}, false, seq)
 		return
 	}
 	k, scalar := indexKey(v)
 	ix.update(s, sur, k, scalar, seq)
-}
-
-// idxResolve walks the inheritance chain for an attribute value without
-// memoizing a route: unlike resolveAttrLocked it may run for an object on
-// a shard the caller does not hold (the notifier reaches inheritors
-// cross-shard under the writer's single shard lock, which freezes
-// topology but does not license route-map writes on other shards).
-func (s *Store) idxResolve(o *Object, name string) (domain.Value, bool) {
-	cur := o
-	for {
-		eff, err := s.effectiveLocked(cur)
-		if err != nil {
-			return nil, false
-		}
-		a, ok := eff.Attr(name)
-		if !ok {
-			return nil, false
-		}
-		if !a.Inherited() {
-			if v, ok := cur.attr(name); ok {
-				return v, true
-			}
-			return domain.NullValue, true
-		}
-		b := s.bindingLocked(cur.sur, a.Via)
-		if b == nil {
-			return domain.NullValue, true
-		}
-		t, ok := s.obj(b.Transmitter)
-		if !ok {
-			return domain.NullValue, true
-		}
-		cur = t
-	}
 }
 
 // ---- the maintenance funnel ----
@@ -353,10 +319,10 @@ func (s *Store) classRemove(cls *Class, sur domain.Surrogate) {
 // idxTouch queues an inheritor whose inherited values a structural change
 // (bind, unbind, cascade delete) may have rerouted. idxCommit recomputes
 // the queued objects — and everything downstream of them through the
-// binding graph — at the operation's commit sequence. This mirrors the
-// route cache exactly: the events that bump shard epochs are the events
-// that queue recomputation, and the recomputation itself reuses the
-// epoch-guarded route resolution. Callers hold the all-shard lock.
+// binding graph — at the operation's commit sequence. The events that
+// bump shard epochs (invalidating memoized routes) are exactly the events
+// that queue recomputation, and the recomputation runs the store's one
+// resolver (readpoint.go). Callers hold the all-shard lock.
 func (s *Store) idxTouch(sur domain.Surrogate) {
 	if s.indexes.Load() == nil {
 		return
@@ -628,47 +594,7 @@ func removeIdx(list []*attrIndex, ix *attrIndex) []*attrIndex {
 }
 
 // Indexes lists the live index definitions, sorted by name.
-func (s *Store) Indexes() []IndexDef {
-	reg := s.indexes.Load()
-	if reg == nil {
-		return nil
-	}
-	var out []IndexDef
-	for _, ix := range reg.list {
-		if ix.dropped() == 0 {
-			out = append(out, IndexDef{Name: ix.name, ClassName: ix.className, AttrName: ix.attrName, CreatedSeq: ix.createdSeq})
-		}
-	}
-	return out
-}
-
-// Indexes is the snapshot form: definitions that were live across the
-// pin's sequence point, sorted by name. A dropped index stays planable
-// for pins taken before the drop (it was maintained for their whole
-// window).
-func (sn *Snapshot) Indexes() []IndexDef {
-	reg := sn.s.indexes.Load()
-	if reg == nil {
-		return nil
-	}
-	var out []IndexDef
-	for _, ix := range reg.list {
-		if ix.covers(sn.seq) {
-			out = append(out, IndexDef{Name: ix.name, ClassName: ix.className, AttrName: ix.attrName, CreatedSeq: ix.createdSeq})
-		}
-	}
-	return out
-}
-
-// indexFor finds a live index over (className, attrName).
-func (r *idxRegistry) indexFor(className, attrName string) *attrIndex {
-	for _, ix := range r.byAttr[attrName] {
-		if ix.className == className {
-			return ix
-		}
-	}
-	return nil
-}
+func (s *Store) Indexes() []IndexDef { return s.live.Indexes() }
 
 // seedIndexState rebuilds index definitions (entries included) from
 // imported records: the counterpart of seedSnapshotState for the index
@@ -724,86 +650,48 @@ func (s *Store) seedIndexState(recs []IndexRecord) error {
 	return nil
 }
 
-// indexRecords exports the index definitions visible at sequence point at
-// (liveSeq exports the live set), sorted by name. Lock-free: the registry
-// is an atomic pointer and definitions are immutable but for the atomic
-// droppedSeq.
-func (s *Store) indexRecords(at uint64) []IndexRecord {
-	reg := s.indexes.Load()
-	if reg == nil {
-		return nil
-	}
-	var out []IndexRecord
-	for _, ix := range reg.list {
-		if at == liveSeq {
-			if ix.dropped() != 0 {
-				continue
-			}
-		} else if !ix.covers(at) {
-			continue
-		}
-		out = append(out, IndexRecord{Name: ix.name, ClassName: ix.className, AttrName: ix.attrName, CreatedSeq: ix.createdSeq})
-	}
-	return out
-}
-
 // ---- probes ----
 
-// IndexProbe returns the candidate members whose indexed attribute value
-// lies within [lo, hi] (nil = unbounded; bounds inclusive — see inRange)
-// according to a live index over (className, attrName). The second result
-// is false when no such index exists or a bound is not an indexable
-// scalar. Candidates are a superset of the true matches (bounds are
-// widened); callers re-apply the full predicate.
+// IndexProbe returns the candidate members of className whose indexed
+// attrName lies within [lo, hi] according to a live index; see
+// readPoint.IndexProbe.
 func (s *Store) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
-	reg := s.indexes.Load()
-	if reg == nil {
-		return nil, false
-	}
-	ix := reg.indexFor(className, attrName)
-	if ix == nil {
-		return nil, false
-	}
-	return ix.probe(lo, hi, 0)
+	return s.live.IndexProbe(className, attrName, lo, hi)
 }
 
-// IndexProbe is the snapshot form: it serves candidates as of the pin's
-// sequence point, and only from an index that was maintained across it.
-func (sn *Snapshot) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
-	reg := sn.s.indexes.Load()
-	if reg == nil {
-		return nil, false
-	}
-	var ix *attrIndex
-	for _, c := range reg.list {
-		if c.className == className && c.attrName == attrName && c.covers(sn.seq) {
-			ix = c
-			break
-		}
-	}
-	if ix == nil {
-		return nil, false
-	}
-	return ix.probe(lo, hi, sn.seq)
+// IndexEstimate exposes costing for the live store; see
+// readPoint.IndexEstimate.
+func (s *Store) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
+	return s.live.IndexEstimate(className, attrName, lo, hi)
 }
 
-// probe scans the partitions for keys in [lo, hi]. at == 0 reads the live
-// postings; at > 0 reads the interval visible at that sequence point.
-func (ix *attrIndex) probe(lo, hi domain.Value, at uint64) ([]domain.Surrogate, bool) {
-	var loK, hiK *ikey
+// bounds normalizes probe bounds into index keys (nil = open). ok is
+// false when a bound is not an indexable scalar.
+func bounds(lo, hi domain.Value) (loK, hiK *ikey, ok bool) {
 	if lo != nil && !domain.IsNull(lo) {
 		k, ok := indexKey(lo)
 		if !ok {
-			return nil, false
+			return nil, nil, false
 		}
 		loK = &k
 	}
 	if hi != nil && !domain.IsNull(hi) {
 		k, ok := indexKey(hi)
 		if !ok {
-			return nil, false
+			return nil, nil, false
 		}
 		hiK = &k
+	}
+	return loK, hiK, true
+}
+
+// probe scans the partitions for keys in [lo, hi], returning the members
+// whose posting interval covers sequence point at (liveSeq: the live
+// postings).
+func (ix *attrIndex) probe(lo, hi domain.Value, at uint64) ([]domain.Surrogate, bool) {
+	loK, hiK, ok := bounds(lo, hi)
+	if !ok {
+		return nil, false
 	}
 	var out []domain.Surrogate
 	for i := range ix.parts {
@@ -814,12 +702,6 @@ func (ix *attrIndex) probe(lo, hi domain.Value, at uint64) ([]domain.Surrogate, 
 				continue
 			}
 			for sur, n := range m {
-				if at == 0 {
-					if n.removed == 0 {
-						out = append(out, sur)
-					}
-					continue
-				}
 				for ; n != nil; n = n.prev {
 					if n.added <= at && (n.removed == 0 || n.removed > at) {
 						out = append(out, sur)
@@ -837,41 +719,12 @@ func (ix *attrIndex) probe(lo, hi domain.Value, at uint64) ([]domain.Surrogate, 
 	return out, true
 }
 
-// indexEstimate counts live candidates in range without materializing
-// them; the planner's costing probe. Returns -1 when no usable index.
-func (s *Store) indexEstimate(className, attrName string, lo, hi domain.Value, at uint64) int {
-	reg := s.indexes.Load()
-	if reg == nil {
+// estimate counts the postings in range without materializing them,
+// retained intervals included; -1 when a bound is not indexable.
+func (ix *attrIndex) estimate(lo, hi domain.Value) int {
+	loK, hiK, ok := bounds(lo, hi)
+	if !ok {
 		return -1
-	}
-	var ix *attrIndex
-	if at == 0 {
-		ix = reg.indexFor(className, attrName)
-	} else {
-		for _, c := range reg.list {
-			if c.className == className && c.attrName == attrName && c.covers(at) {
-				ix = c
-				break
-			}
-		}
-	}
-	if ix == nil {
-		return -1
-	}
-	var loK, hiK *ikey
-	if lo != nil && !domain.IsNull(lo) {
-		k, ok := indexKey(lo)
-		if !ok {
-			return -1
-		}
-		loK = &k
-	}
-	if hi != nil && !domain.IsNull(hi) {
-		k, ok := indexKey(hi)
-		if !ok {
-			return -1
-		}
-		hiK = &k
 	}
 	total := 0
 	for i := range ix.parts {
@@ -885,16 +738,6 @@ func (s *Store) indexEstimate(className, attrName string, lo, hi domain.Value, a
 		p.mu.Unlock()
 	}
 	return total
-}
-
-// IndexEstimate exposes costing for the live store (see indexEstimate).
-func (s *Store) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
-	return s.indexEstimate(className, attrName, lo, hi, 0)
-}
-
-// IndexEstimate is the snapshot form of costing.
-func (sn *Snapshot) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
-	return sn.s.indexEstimate(className, attrName, lo, hi, sn.seq)
 }
 
 // ---- sweep and stats ----
@@ -1004,8 +847,8 @@ func (s *Store) idxAudit(report func(format string, args ...any)) {
 			if !ok || o.isRel {
 				continue
 			}
-			v, ok := s.idxResolve(o, ix.attrName)
-			if !ok || domain.IsNull(v) {
+			v, _, err := s.indexing.resolveAttr(o, ix.attrName)
+			if err != nil || domain.IsNull(v) {
 				continue
 			}
 			if k, scalar := indexKey(v); scalar {

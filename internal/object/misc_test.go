@@ -259,23 +259,6 @@ func TestImportValidationErrors(t *testing.T) {
 	}
 }
 
-func TestWithExclusive(t *testing.T) {
-	s := gateStore(t)
-	mustSur(t)(s.NewObject(paperschema.TypePin, ""))
-	var got int
-	err := s.WithExclusive(func(st *StoreState) error {
-		got = len(st.Objects)
-		return nil
-	})
-	if err != nil || got != 1 {
-		t.Errorf("WithExclusive: %d, %v", got, err)
-	}
-	wantErr := errors.New("boom")
-	if err := s.WithExclusive(func(*StoreState) error { return wantErr }); !errors.Is(err, wantErr) {
-		t.Errorf("error propagation: %v", err)
-	}
-}
-
 func TestWriteGuard(t *testing.T) {
 	s := gateStore(t)
 	pin := mustSur(t)(s.NewObject(paperschema.TypePin, ""))

@@ -29,7 +29,6 @@ package object
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -67,15 +66,6 @@ func newAttrBoxAt(v domain.Value, at uint64) *attrBox {
 	b := &attrBox{}
 	b.head.Store(&aver{at: at, v: &v})
 	return b
-}
-
-// load returns the live (head) value; ok is false on a tombstone head.
-func (b *attrBox) load() (domain.Value, bool) {
-	h := b.head.Load()
-	if h == nil || h.v == nil {
-		return nil, false
-	}
-	return *h.v, true
 }
 
 // at returns the value visible at sequence point s (absent if the slot
@@ -776,14 +766,12 @@ func (s *Store) lowWater() uint64 { return s.mvcc.lowA.Load() }
 // never blocked by a live snapshot, they only retain old versions for it.
 // Release the snapshot (refcounted) to let the sweep reclaim them.
 type Snapshot struct {
-	s       *Store
-	seq     uint64
+	// readPoint reads at the pinned sequence, following memoized routes
+	// whose stamps match the per-shard structure epochs at pin time, and
+	// memoizes nothing.
+	readPoint
 	nextSur uint64
-	// epochs are the per-shard structure epochs at pin time: a memoized
-	// resolution route whose stamps match them was valid exactly at the
-	// pin, so snapshot reads may reuse the live route cache.
-	epochs []uint64
-	refs   atomic.Int64
+	refs    atomic.Int64
 }
 
 // Snapshot pins the current sequence point. It briefly takes all shard
@@ -888,7 +876,6 @@ func (s *Store) SweepVersions() uint64 {
 		return 0
 	}
 	defer s.mvcc.gcMu.Unlock()
-	low := s.lowWater()
 	var sum trimmed
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -896,6 +883,11 @@ func (s *Store) SweepVersions() uint64 {
 			continue
 		}
 		sh.mu.Lock()
+		// Read the low-water mark under the shard lock: a pin registers
+		// while holding every shard lock, so none appears while this
+		// shard is trimmed, and one taken since the sweep began — which
+		// writers may already have retained versions for — is counted.
+		low := s.lowWater()
 		for _, x := range sh.work.take() {
 			// Unmark before trimming: a concurrent retention either lands
 			// before the trim reads the chain or queues x afresh.
@@ -974,20 +966,4 @@ func (s *Store) seedSnapshotState() {
 			}
 		}
 	}
-}
-
-// surrogatesAt returns the surrogates visible at the pinned sequence, in
-// ascending order.
-func (sn *Snapshot) surrogatesAt() []domain.Surrogate {
-	var out []domain.Surrogate
-	for i := range sn.s.shards {
-		sn.s.shards[i].snapObjs.Range(func(k, v any) bool {
-			if v.(*Object).visibleAt(sn.seq) {
-				out = append(out, k.(domain.Surrogate))
-			}
-			return true
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -136,33 +136,6 @@ func (o *Object) putSubrel(name string, c *Class) {
 	o.subrels.Store(&m)
 }
 
-// attr loads one attribute's live value; the second result reports
-// presence (a tombstone head reads as absent).
-func (o *Object) attr(name string) (domain.Value, bool) {
-	if b, ok := o.attrMap()[name]; ok {
-		return b.load()
-	}
-	return nil, false
-}
-
-// attrValues materializes the live attribute map as plain values.
-func (o *Object) attrValues() map[string]domain.Value {
-	m := o.attrMap()
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]domain.Value, len(m))
-	for k, b := range m {
-		if v, ok := b.load(); ok {
-			out[k] = v
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // setAttr sets name to v at the given operation sequence. Setting an
 // existing attribute pushes a version onto the slot's chain in place;
 // adding a key publishes a map copy; a null value pushes a tombstone when

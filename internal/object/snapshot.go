@@ -72,66 +72,9 @@ type StoreState struct {
 func (s *Store) Export() *StoreState {
 	s.rlockAll()
 	defer s.runlockAll()
-	return s.exportLocked()
-}
-
-// WithExclusive runs f while holding every shard and stripe write lock,
-// passing a consistent export. No mutation (and hence no journal append)
-// can run concurrently; the checkpointer uses this to pair a snapshot
-// with a log rotation atomically.
-func (s *Store) WithExclusive(f func(st *StoreState) error) error {
-	s.lockAll()
-	defer s.unlockAll()
-	return f(s.exportLocked())
-}
-
-func (s *Store) exportLocked() *StoreState {
-	st := s.baseStateLocked()
-	surs := s.surrogatesLocked()
-	bindingSurs := s.bindingSursLocked()
-	for _, sur := range surs {
-		if b, isBinding := bindingSurs[sur]; isBinding {
-			st.Bindings = append(st.Bindings, bindingRecord(sur, b, liveSeq))
-			continue
-		}
-		o, _ := s.obj(sur)
-		st.Objects = append(st.Objects, objectRecord(o, liveSeq))
-	}
+	st := s.live.baseState(s.seq.Load(), s.nextSur.Load())
+	st.Objects, st.Bindings = s.live.records(s.live.surrogates())
 	return st
-}
-
-// liveSeq reads a version chain at its head: the live state.
-const liveSeq = ^uint64(0)
-
-// baseStateLocked captures the non-partitioned part of the state: classes
-// and the global counters, no object or binding records.
-func (s *Store) baseStateLocked() *StoreState {
-	st := &StoreState{NextSur: s.nextSur.Load(), Seq: s.seq.Load()}
-	classes := make(map[string]*Class)
-	for i := range s.stripes {
-		for name, cls := range s.stripes[i].classes {
-			classes[name] = cls
-		}
-	}
-	for _, name := range sortedNames(classes) {
-		st.Classes = append(st.Classes, ClassRecord{Name: name, ElemType: classes[name].elemType})
-	}
-	st.Indexes = s.indexRecords(liveSeq)
-	return st
-}
-
-// bindingSursLocked indexes every live binding by the surrogate of its
-// relationship object, across all shards.
-func (s *Store) bindingSursLocked() map[domain.Surrogate]*Binding {
-	bindingSurs := make(map[domain.Surrogate]*Binding)
-	for i := range s.shards {
-		for _, list := range s.shards[i].byTransmitter {
-			for _, b := range list {
-				bindingSurs[b.Obj.sur] = b
-			}
-		}
-	}
-	return bindingSurs
 }
 
 // bindingRecord captures one binding as visible at sequence point at
@@ -188,44 +131,6 @@ type ShardExport struct {
 type StoreExport struct {
 	Base   *StoreState // Classes, NextSur, Seq only — no records
 	Shards []ShardExport
-}
-
-// WithExclusiveExport runs f while holding every shard and stripe write
-// lock, passing a partitioned export in which only shards whose dirty
-// counter moved past the caller's baseline carry records. baseline holds
-// the Mark values captured by the previous committed checkpoint; nil (or
-// a length mismatch, e.g. after a shard-count change) exports every
-// shard. Like WithExclusive, no mutation or journal append can run
-// concurrently, so the checkpointer can pair the capture with a journal
-// rotation atomically — and encode the records off-lock afterwards.
-func (s *Store) WithExclusiveExport(baseline []uint64, f func(ex *StoreExport) error) error {
-	s.lockAll()
-	defer s.unlockAll()
-	ex := &StoreExport{Base: s.baseStateLocked(), Shards: make([]ShardExport, len(s.shards))}
-	full := len(baseline) != len(s.shards)
-	bindingSurs := s.bindingSursLocked()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		se := &ex.Shards[i]
-		se.Mark = sh.dirty.Load()
-		se.Exported = full || se.Mark != baseline[i]
-		if !se.Exported {
-			continue
-		}
-		surs := make([]domain.Surrogate, 0, len(sh.objects))
-		for sur := range sh.objects {
-			surs = append(surs, sur)
-		}
-		sort.Slice(surs, func(a, b int) bool { return surs[a] < surs[b] })
-		for _, sur := range surs {
-			if b, isBinding := bindingSurs[sur]; isBinding {
-				se.Bindings = append(se.Bindings, bindingRecord(sur, b, liveSeq))
-				continue
-			}
-			se.Objects = append(se.Objects, objectRecord(sh.objects[sur], liveSeq))
-		}
-	}
-	return f(ex)
 }
 
 func copyAttrs(m map[string]domain.Value) map[string]domain.Value {

@@ -9,309 +9,46 @@ import (
 	"cadcam/internal/schema"
 )
 
-// Snapshot reads: every method resolves against the version chains at the
-// pinned sequence point, lock-free. The methods mirror the store's locked
-// read paths (mutate.go) with three substitutions:
-//
-//   - objects come from the shards' snapObjs maps, gated by visibleAt;
-//   - binding lookups walk the snapBindIn/snapBindOut chains at the pin;
-//   - attribute slots, bookkeeping, modSeq and class membership are read
-//     with their at(S) accessors instead of the live head.
-//
-// The resolution route cache is shared with live reads on the fast path: a
-// memoized route whose stamps equal the snapshot's pin-time epochs was
-// valid exactly at the pin, so the snapshot may follow it and read the
-// owner's slot at the pinned sequence. Slow-path resolutions are not
-// memoized — they describe the pinned past, not the live present.
-
-// obj returns the object visible at the pin, if any.
-func (sn *Snapshot) obj(sur domain.Surrogate) (*Object, bool) {
-	v, ok := sn.s.shardOf(sur).snapObjs.Load(sur)
-	if !ok {
-		return nil, false
-	}
-	o := v.(*Object)
-	if !o.visibleAt(sn.seq) {
-		return nil, false
-	}
-	return o, true
-}
-
-// Exists reports whether the surrogate denoted a live object at the pin.
-func (sn *Snapshot) Exists(sur domain.Surrogate) bool {
-	_, ok := sn.obj(sur)
-	return ok
-}
-
-// TypeOf returns the type name of an object visible at the pin.
-func (sn *Snapshot) TypeOf(sur domain.Surrogate) (string, error) {
-	o, ok := sn.obj(sur)
-	if !ok {
-		return "", noObject(sur)
-	}
-	return o.typeName, nil
-}
-
-// Get returns the object visible at the pin. Only the immutable identity
-// accessors (Surrogate, TypeName, IsRelationship, Parent, ParentSubclass)
-// are meaningful on the result; attribute state must be read through the
-// snapshot's own methods.
-func (sn *Snapshot) Get(sur domain.Surrogate) (*Object, error) {
-	o, ok := sn.obj(sur)
-	if !ok {
-		return nil, noObject(sur)
-	}
-	return o, nil
-}
-
-// ModSeq returns the object's modification sequence as of the pin.
-func (sn *Snapshot) ModSeq(sur domain.Surrogate) (uint64, error) {
-	o, ok := sn.obj(sur)
-	if !ok {
-		return 0, noObject(sur)
-	}
-	return o.modAt(sn.seq), nil
-}
+// Snapshot reads: a Snapshot embeds the read point of its pin
+// (readpoint.go), so GetAttr, Members, Env, Get, Exists, TypeOf, ModSeq,
+// the binding lookups and the index probes run the store's own resolver,
+// lock-free, at the pinned sequence. The resolution route cache is shared
+// with live reads on the hit path: a memoized route whose stamps equal
+// the pin-time epochs was valid exactly at the pin. The methods here are
+// the ones with no live counterpart on the read point.
 
 // Catalog returns the schema catalog (immutable, shared with the store).
 func (sn *Snapshot) Catalog() *schema.Catalog { return sn.s.cat }
 
 // Surrogates returns the surrogates visible at the pin, ascending.
-func (sn *Snapshot) Surrogates() []domain.Surrogate { return sn.surrogatesAt() }
+func (sn *Snapshot) Surrogates() []domain.Surrogate { return sn.surrogates() }
 
-// bindingsIn returns the inheritor's binding set as of the pin (nil when
-// it had none).
-func (sn *Snapshot) bindingsIn(inheritor domain.Surrogate) map[string]*Binding {
-	v, ok := sn.s.shardOf(inheritor).snapBindIn.Load(inheritor)
-	if !ok {
-		return nil
+// class finds a database-level class that existed at the pin.
+func (sn *Snapshot) class(name string) (*Class, bool) {
+	v, ok := sn.s.snapClasses.Load(name)
+	if !ok || v.(*Class).createdSeq > sn.seq {
+		return nil, false
 	}
-	return v.(*ibChain).at(sn.seq)
-}
-
-// bindingsOut returns the transmitter's binding list as of the pin.
-func (sn *Snapshot) bindingsOut(transmitter domain.Surrogate) []*Binding {
-	v, ok := sn.s.shardOf(transmitter).snapBindOut.Load(transmitter)
-	if !ok {
-		return nil
-	}
-	return v.(*tbChain).at(sn.seq)
-}
-
-// binding finds the inheritor's binding under a relationship type as of
-// the pin.
-func (sn *Snapshot) binding(inheritor domain.Surrogate, relType string) *Binding {
-	return sn.bindingsIn(inheritor)[relType]
-}
-
-// BindingsOfInheritor returns the bindings in which the object was the
-// inheritor at the pin, keyed by relationship type name.
-func (sn *Snapshot) BindingsOfInheritor(inheritor domain.Surrogate) map[string]*Binding {
-	set := sn.bindingsIn(inheritor)
-	out := make(map[string]*Binding, len(set))
-	for k, v := range set {
-		out[k] = v
-	}
-	return out
-}
-
-// BindingsOfTransmitter returns the bindings in which the object was the
-// transmitter at the pin.
-func (sn *Snapshot) BindingsOfTransmitter(transmitter domain.Surrogate) []*Binding {
-	return append([]*Binding(nil), sn.bindingsOut(transmitter)...)
-}
-
-// routeValid reports whether a memoized route was valid at the pin: every
-// shard its chain crosses still had its pin-time epoch when the route was
-// resolved, so the route describes the pinned topology exactly.
-func (sn *Snapshot) routeValid(r *route) bool {
-	for _, st := range r.stamps {
-		if sn.epochs[st.shard] != st.epoch {
-			return false
-		}
-	}
-	return true
-}
-
-// GetAttr reads an attribute at the pin with the same resolution rule as
-// the live Store.GetAttr, entirely lock-free. A route memoized by live
-// readers serves as the fast path when it matches the pin-time epochs;
-// otherwise the inheritance chain is walked against the snapshot indexes.
-func (sn *Snapshot) GetAttr(sur domain.Surrogate, name string) (domain.Value, error) {
-	if r, ok := loadRoute(&sn.s.shardOf(sur).routes.attrs, sur, name); ok && sn.routeValid(r) {
-		sn.s.shardOf(sur).hits.Add(1)
-		if r.owner == nil {
-			return domain.NullValue, nil
-		}
-		if b, ok := r.owner.attrMap()[name]; ok {
-			if v, ok := b.at(sn.seq); ok {
-				return v, nil
-			}
-		}
-		return domain.NullValue, nil
-	}
-	o, ok := sn.obj(sur)
-	if !ok {
-		return nil, noObject(sur)
-	}
-	if name == "Surrogate" {
-		return domain.Ref(o.sur), nil
-	}
-	if o.isRel {
-		return sn.relAttr(o, name)
-	}
-	return sn.resolveAttr(o, name)
-}
-
-// resolveAttr walks the inheritance chain at the pin: bindings come from
-// the snapshot index chains, values from the owner's slot at the pinned
-// sequence. Mirrors resolveAttrLocked without memoization.
-func (sn *Snapshot) resolveAttr(o *Object, name string) (domain.Value, error) {
-	cur := o
-	for {
-		eff, err := sn.s.effectiveLocked(cur)
-		if err != nil {
-			return nil, err
-		}
-		a, ok := eff.Attr(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, cur.typeName, name)
-		}
-		if !a.Inherited() {
-			if b, ok := cur.attrMap()[name]; ok {
-				if v, ok := b.at(sn.seq); ok {
-					return v, nil
-				}
-			}
-			return domain.NullValue, nil
-		}
-		b := sn.binding(cur.sur, a.Via)
-		if b == nil {
-			return domain.NullValue, nil
-		}
-		t, ok := sn.obj(b.Transmitter)
-		if !ok {
-			return domain.NullValue, nil
-		}
-		cur = t
-	}
-}
-
-// relAttr reads a relationship object's attribute at the pin: participant
-// roles (immutable), the binding bookkeeping at the pinned sequence, then
-// user-declared attributes. Mirrors getRelAttrLocked.
-func (sn *Snapshot) relAttr(o *Object, name string) (domain.Value, error) {
-	if v, ok := o.participants[name]; ok {
-		return v, nil
-	}
-	if o.book != nil {
-		switch name {
-		case AttrTransmitterUpdates, AttrLastUpdateSeq, AttrAcknowledgedSeq:
-			upd, last, ack := o.book.at(sn.seq)
-			switch name {
-			case AttrTransmitterUpdates:
-				return domain.Int(upd), nil
-			case AttrLastUpdateSeq:
-				return domain.Int(last), nil
-			default:
-				return domain.Int(ack), nil
-			}
-		}
-	}
-	if b, ok := o.attrMap()[name]; ok {
-		if v, ok := b.at(sn.seq); ok {
-			return v, nil
-		}
-	}
-	if _, ok := sn.s.cat.RelAttr(o.typeName, name); ok {
-		return domain.NullValue, nil
-	}
-	if _, ok := sn.s.cat.InherRelType(o.typeName); ok {
-		switch name {
-		case AttrTransmitterUpdates, AttrLastUpdateSeq, AttrAcknowledgedSeq:
-			return domain.Int(0), nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, o.typeName, name)
-}
-
-// Members lists a local subclass at the pin, following inheritance, with
-// the live Members' semantics. The shared route cache serves hits that
-// match the pin-time epochs.
-func (sn *Snapshot) Members(sur domain.Surrogate, name string) ([]domain.Surrogate, error) {
-	if r, ok := loadRoute(&sn.s.shardOf(sur).routes.members, sur, name); ok && sn.routeValid(r) {
-		sn.s.shardOf(sur).hits.Add(1)
-		if r.cls == nil {
-			return nil, nil
-		}
-		return copySurs(r.cls.membersAt(sn.seq)), nil
-	}
-	o, ok := sn.obj(sur)
-	if !ok {
-		return nil, noObject(sur)
-	}
-	if cls, ok := o.relMap()[name]; ok {
-		return copySurs(cls.membersAt(sn.seq)), nil
-	}
-	if o.isRel {
-		if cls, ok := o.subMap()[name]; ok {
-			return copySurs(cls.membersAt(sn.seq)), nil
-		}
-		if sn.s.cat.RelMemberName(o.typeName, name) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, o.typeName, name)
-	}
-	return sn.resolveMembers(o, name)
-}
-
-// resolveMembers mirrors resolveMembersLocked against the snapshot
-// indexes, without memoization.
-func (sn *Snapshot) resolveMembers(o *Object, name string) ([]domain.Surrogate, error) {
-	cur := o
-	for {
-		eff, err := sn.s.effectiveLocked(cur)
-		if err != nil {
-			return nil, err
-		}
-		sd, ok := eff.SubclassByName(name)
-		if !ok {
-			for _, sr := range eff.Type.SubRels {
-				if sr.Name == name {
-					return nil, nil // declared but no members yet
-				}
-			}
-			return nil, fmt.Errorf("%w: %s has no subclass %q", ErrNoSuchClass, cur.typeName, name)
-		}
-		if !sd.Inherited() {
-			if cls, ok := cur.subMap()[name]; ok {
-				return copySurs(cls.membersAt(sn.seq)), nil
-			}
-			return nil, nil
-		}
-		b := sn.binding(cur.sur, sd.Via)
-		if b == nil {
-			return nil, nil
-		}
-		t, ok := sn.obj(b.Transmitter)
-		if !ok {
-			return nil, nil
-		}
-		cur = t
-	}
+	return v.(*Class), true
 }
 
 // Class lists a database-level class extent at the pin.
 func (sn *Snapshot) Class(name string) ([]domain.Surrogate, error) {
-	v, ok := sn.s.snapClasses.Load(name)
+	c, ok := sn.class(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchClass, name)
 	}
-	c := v.(*Class)
-	if c.createdSeq > sn.seq {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchClass, name)
-	}
 	return copySurs(c.membersAt(sn.seq)), nil
+}
+
+// ClassSize returns the member count of a database-level class at the
+// pin, or -1 if it did not exist there.
+func (sn *Snapshot) ClassSize(name string) int {
+	c, ok := sn.class(name)
+	if !ok {
+		return -1
+	}
+	return len(c.membersAt(sn.seq))
 }
 
 // ClassNames lists the database-level classes that existed at the pin,
@@ -335,38 +72,13 @@ func copySurs(surs []domain.Surrogate) []domain.Surrogate {
 	return append([]domain.Surrogate(nil), surs...)
 }
 
-// baseState captures the classes and counters as of the pin, lock-free.
-func (sn *Snapshot) baseState() *StoreState {
-	st := &StoreState{NextSur: sn.nextSur, Seq: sn.seq}
-	classes := make(map[string]*Class)
-	sn.s.snapClasses.Range(func(k, v any) bool {
-		c := v.(*Class)
-		if c.createdSeq <= sn.seq {
-			classes[k.(string)] = c
-		}
-		return true
-	})
-	for _, name := range sortedNames(classes) {
-		st.Classes = append(st.Classes, ClassRecord{Name: name, ElemType: classes[name].elemType})
-	}
-	st.Indexes = sn.s.indexRecords(sn.seq)
-	return st
-}
-
 // Export captures the full store state as of the pin without taking any
 // store lock. The result is byte-for-byte the state a serial replay of the
 // journal truncated at the pinned sequence would export (for failure-free
 // histories, whose surrogate counter never burns allocations).
 func (sn *Snapshot) Export() *StoreState {
-	st := sn.baseState()
-	for _, sur := range sn.surrogatesAt() {
-		o, _ := sn.obj(sur)
-		if o.isRel && o.binding != nil {
-			st.Bindings = append(st.Bindings, bindingRecord(sur, o.binding, sn.seq))
-			continue
-		}
-		st.Objects = append(st.Objects, objectRecord(o, sn.seq))
-	}
+	st := sn.baseState(sn.seq, sn.nextSur)
+	st.Objects, st.Bindings = sn.records(sn.surrogates())
 	return st
 }
 
@@ -375,7 +87,7 @@ func (sn *Snapshot) Export() *StoreState {
 // checkpointer captures marks and dirtiness under the rotation lock (see
 // PinCheckpoint) and encodes the records here, with writers running.
 func (sn *Snapshot) ExportShards(marks []uint64, dirty []bool) *StoreExport {
-	ex := &StoreExport{Base: sn.baseState(), Shards: make([]ShardExport, len(sn.s.shards))}
+	ex := &StoreExport{Base: sn.baseState(sn.seq, sn.nextSur), Shards: make([]ShardExport, len(sn.s.shards))}
 	for i := range sn.s.shards {
 		se := &ex.Shards[i]
 		se.Mark = marks[i]
@@ -383,22 +95,9 @@ func (sn *Snapshot) ExportShards(marks []uint64, dirty []bool) *StoreExport {
 		if !dirty[i] {
 			continue
 		}
-		var surs []domain.Surrogate
-		sn.s.shards[i].snapObjs.Range(func(k, v any) bool {
-			if v.(*Object).visibleAt(sn.seq) {
-				surs = append(surs, k.(domain.Surrogate))
-			}
-			return true
-		})
+		surs := sn.shardSurrogates(i, nil)
 		sort.Slice(surs, func(a, b int) bool { return surs[a] < surs[b] })
-		for _, sur := range surs {
-			o, _ := sn.obj(sur)
-			if o.isRel && o.binding != nil {
-				se.Bindings = append(se.Bindings, bindingRecord(sur, o.binding, sn.seq))
-				continue
-			}
-			se.Objects = append(se.Objects, objectRecord(o, sn.seq))
-		}
+		se.Objects, se.Bindings = sn.records(surs)
 	}
 	return ex
 }
@@ -407,11 +106,9 @@ func (sn *Snapshot) ExportShards(marks []uint64, dirty []bool) *StoreExport {
 // holds all shard locks (read or write), so the pin lands between
 // operations.
 func (s *Store) pinLocked() *Snapshot {
-	sn := &Snapshot{s: s}
+	sn := &Snapshot{readPoint: readPoint{s: s, seq: s.seq.Load(), epochs: make([]uint64, len(s.shards))}}
 	sn.refs.Store(1)
-	sn.seq = s.seq.Load()
 	sn.nextSur = s.nextSur.Load()
-	sn.epochs = make([]uint64, len(s.shards))
 	for i := range s.shards {
 		sn.epochs[i] = s.shards[i].epoch.Load()
 	}

@@ -190,6 +190,10 @@ type Store struct {
 	// non-nil result vetoes the mutation. The database facade uses it to
 	// write-protect frozen versions.
 	guard func(sur domain.Surrogate) error
+	// deleteGuard, when set, is consulted for every object a Delete would
+	// remove; a non-nil result vetoes the whole delete. The database
+	// facade uses it to keep registered versions alive.
+	deleteGuard func(sur domain.Surrogate) error
 
 	// mvcc is the snapshot-pin registry and version-GC state (mvcc.go).
 	mvcc mvccState
@@ -210,6 +214,12 @@ type Store struct {
 	// (idxCommit / idxAbort). All-shard lock only.
 	idxPend      []idxPend
 	idxRecompute map[domain.Surrogate]bool
+
+	// live and indexing read the head state (readpoint.go). live serves the
+	// store's own reads and memoizes slow-path resolutions; indexing serves
+	// index maintenance, which may resolve an object on a shard whose lock
+	// the writer does not hold, and memoizes nothing.
+	live, indexing readPoint
 }
 
 // NewStore creates an empty store over a validated catalog with the
@@ -230,6 +240,8 @@ func NewStoreShards(cat *schema.Catalog, shards int) (*Store, error) {
 		shards = DefaultShards
 	}
 	s := &Store{cat: cat, shards: make([]shard, shards), seed: maphash.MakeSeed()}
+	s.live = readPoint{s: s, seq: liveSeq, memo: true}
+	s.indexing = readPoint{s: s, seq: liveSeq}
 	s.mvcc.lowA.Store(^uint64(0)) // no pins: low-water mark at infinity
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -373,6 +385,15 @@ func (s *Store) SetWriteGuard(g func(sur domain.Surrogate) error) {
 	s.guard = g
 }
 
+// SetDeleteGuard installs a veto consulted, before anything is mutated or
+// journaled, for every object a Delete would remove: the deleted object
+// and its whole cascade. Pass nil to disable.
+func (s *Store) SetDeleteGuard(g func(sur domain.Surrogate) error) {
+	s.lockAll()
+	defer s.unlockAll()
+	s.deleteGuard = g
+}
+
 func (s *Store) guardLocked(sur domain.Surrogate) error {
 	if s.guard != nil {
 		return s.guard(sur)
@@ -456,16 +477,7 @@ func (s *Store) FinishReplay(maxSeq uint64, maxSur domain.Surrogate) {
 // ModSeq returns the store sequence of the object's last direct mutation;
 // 0 if it was never mutated since creation. Long transactions use it for
 // optimistic checkin validation.
-func (s *Store) ModSeq(sur domain.Surrogate) (uint64, error) {
-	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[sur]
-	if !ok {
-		return 0, noObject(sur)
-	}
-	return o.modSeq.Load(), nil
-}
+func (s *Store) ModSeq(sur domain.Surrogate) (uint64, error) { return s.live.ModSeq(sur) }
 
 // DefineClass creates a database-level class holding objects of the given
 // type ("" = unrestricted). Several classes may hold objects of the same
@@ -673,38 +685,14 @@ func (s *Store) newObjectLocked(t *schema.ObjectType, isRel bool) *Object {
 }
 
 // Exists reports whether a surrogate denotes a live object.
-func (s *Store) Exists(sur domain.Surrogate) bool {
-	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.objects[sur]
-	return ok
-}
+func (s *Store) Exists(sur domain.Surrogate) bool { return s.live.Exists(sur) }
 
 // TypeOf returns the type name of an object.
-func (s *Store) TypeOf(sur domain.Surrogate) (string, error) {
-	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[sur]
-	if !ok {
-		return "", noObject(sur)
-	}
-	return o.typeName, nil
-}
+func (s *Store) TypeOf(sur domain.Surrogate) (string, error) { return s.live.TypeOf(sur) }
 
 // Get returns the object for a surrogate. The returned *Object must be
 // treated as read-only.
-func (s *Store) Get(sur domain.Surrogate) (*Object, error) {
-	sh := s.shardOf(sur)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[sur]
-	if !ok {
-		return nil, noObject(sur)
-	}
-	return o, nil
-}
+func (s *Store) Get(sur domain.Surrogate) (*Object, error) { return s.live.Get(sur) }
 
 // Len reports the number of live objects (including relationship objects).
 func (s *Store) Len() int {
@@ -722,5 +710,5 @@ func (s *Store) Len() int {
 func (s *Store) Surrogates() []domain.Surrogate {
 	s.rlockAll()
 	defer s.runlockAll()
-	return s.surrogatesLocked()
+	return s.live.surrogates()
 }

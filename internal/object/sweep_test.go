@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cadcam/internal/domain"
 	"cadcam/internal/paperschema"
@@ -236,4 +237,67 @@ func BenchmarkSnapshotRelease(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestSweepKeepsPinTakenDuringSweep: a snapshot pinned while a sweep
+// triggered by another pin's release is running must read the same state
+// for as long as it is held. The sweep used to read its low-water mark
+// once, before such a pin existed, and then trimmed versions and dead
+// objects the new pin still needed.
+func TestSweepKeepsPinTakenDuringSweep(t *testing.T) {
+	s, err := NewStore(paperschema.MustGates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // churn: every write and delete retains for a live pin
+		defer wg.Done()
+		for !stop.Load() {
+			var surs []domain.Surrogate
+			for i := 0; i < 32; i++ {
+				sur, err := s.NewObject(paperschema.TypePin, "")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				surs = append(surs, sur)
+			}
+			for i, sur := range surs {
+				_ = s.SetAttr(sur, "PinId", domain.Int(int64(i)))
+				_ = s.Delete(sur)
+			}
+		}
+	}()
+	go func() { // short pins: each last release sweeps
+		defer wg.Done()
+		for !stop.Load() {
+			s.Snapshot().Release()
+		}
+	}()
+	read := func(sn *Snapshot) string {
+		out := ""
+		for _, sur := range sn.Surrogates() {
+			v, err := sn.GetAttr(sur, "PinId")
+			out += fmt.Sprintf("%v=%v/%v ", sur, v, err)
+		}
+		return out
+	}
+	deadline := time.Now().Add(time.Second)
+	for time.Now().Before(deadline) {
+		sn := s.Snapshot()
+		first := read(sn)
+		for i := 0; i < 4; i++ {
+			if again := read(sn); again != first {
+				sn.Release()
+				stop.Store(true)
+				wg.Wait()
+				t.Fatalf("pin at %d changed while held:\n%s\n%s", sn.Seq(), first, again)
+			}
+		}
+		sn.Release()
+	}
+	stop.Store(true)
+	wg.Wait()
 }

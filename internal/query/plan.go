@@ -230,7 +230,7 @@ func (p *Plan) Run(src Source) ([]domain.Surrogate, error) {
 		// The index was dropped (or never covered this source's sequence
 		// point): degrade to a scan rather than fail.
 	}
-	members, err := src.ClassMembers(p.Class)
+	members, err := src.Class(p.Class)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +352,7 @@ func Run(src Source, className, where string) ([]domain.Surrogate, *Plan, error)
 // class member. Run must agree with it element for element on any
 // source.
 func Naive(src Source, className string, where expr.Expr) ([]domain.Surrogate, error) {
-	members, err := src.ClassMembers(className)
+	members, err := src.Class(className)
 	if err != nil {
 		return nil, err
 	}

@@ -13,10 +13,11 @@ import (
 
 // Source abstracts the two things a query can run against: the live
 // store and a pinned snapshot. Both expose class extents, per-object
-// expression environments and the index probes the planner costs with.
+// expression environments and the index probes the planner costs with;
+// *object.Store and *object.Snapshot implement it directly.
 type Source interface {
-	// ClassMembers returns the extent of a database-level class.
-	ClassMembers(name string) ([]domain.Surrogate, error)
+	// Class returns the extent of a database-level class.
+	Class(name string) ([]domain.Surrogate, error)
 	// ClassSize returns the extent size, or -1 if no such class.
 	ClassSize(name string) int
 	// Env returns an expr.Env evaluating names against one object.
@@ -35,112 +36,26 @@ type Source interface {
 // resolves which object actually owns the value an attribute resolves to
 // on a member (the end of its inheritance chain). Members sharing an
 // owner share the value, so a predicate over that one attribute needs
-// evaluating only once per distinct owner.
+// evaluating only once per distinct owner. The live store implements it;
+// a snapshot does not, so snapshot queries never plan a route probe.
 type ChainSource interface {
 	ChainOwner(sur domain.Surrogate, member string) (domain.Surrogate, bool)
 }
 
-// ---- live store ----
+var (
+	_ Source      = (*object.Store)(nil)
+	_ Source      = (*object.Snapshot)(nil)
+	_ ChainSource = (*object.Store)(nil)
+)
 
-type storeSource struct{ s *object.Store }
-
-// ForStore adapts the live store as a query source. The adapter holds no
+// ForStore returns the live store as a query source. The store holds no
 // locks across rows: every row evaluation takes (and releases) its
-// object's shard read lock, so concurrent writers are never blocked for
-// the duration of a query.
-func ForStore(s *object.Store) Source { return storeSource{s: s} }
+// object's shard read lock on a route-cache miss, so concurrent writers
+// are never blocked for the duration of a query.
+func ForStore(s *object.Store) Source { return s }
 
-func (x storeSource) ClassMembers(name string) ([]domain.Surrogate, error) { return x.s.Class(name) }
-func (x storeSource) ClassSize(name string) int                            { return x.s.ClassSize(name) }
-func (x storeSource) Env(sur domain.Surrogate) expr.Env                    { return x.s.Env(sur) }
-func (x storeSource) Indexes() []object.IndexDef                           { return x.s.Indexes() }
-
-func (x storeSource) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
-	return x.s.IndexProbe(className, attrName, lo, hi)
-}
-
-func (x storeSource) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
-	return x.s.IndexEstimate(className, attrName, lo, hi)
-}
-
-func (x storeSource) ChainOwner(sur domain.Surrogate, member string) (domain.Surrogate, bool) {
-	chain, err := x.s.ResolveChain(sur, member)
-	if err != nil || len(chain) == 0 {
-		return 0, false
-	}
-	return chain[len(chain)-1], true
-}
-
-// ---- pinned snapshot ----
-
-type snapSource struct{ sn *object.Snapshot }
-
-// ForSnapshot adapts a pinned snapshot as a query source: extents,
+// ForSnapshot returns a pinned snapshot as a query source: extents,
 // attribute values and index probes are all served as of the pin's
 // sequence point, so a query sees one consistent state no matter how
 // long it runs or what writers do meanwhile.
-func ForSnapshot(sn *object.Snapshot) Source { return snapSource{sn: sn} }
-
-func (x snapSource) ClassMembers(name string) ([]domain.Surrogate, error) { return x.sn.Class(name) }
-
-func (x snapSource) ClassSize(name string) int {
-	ms, err := x.sn.Class(name)
-	if err != nil {
-		return -1
-	}
-	return len(ms)
-}
-
-func (x snapSource) Env(sur domain.Surrogate) expr.Env { return snapEnv{sn: x.sn, sur: sur} }
-func (x snapSource) Indexes() []object.IndexDef        { return x.sn.Indexes() }
-
-func (x snapSource) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
-	return x.sn.IndexProbe(className, attrName, lo, hi)
-}
-
-func (x snapSource) IndexEstimate(className, attrName string, lo, hi domain.Value) int {
-	return x.sn.IndexEstimate(className, attrName, lo, hi)
-}
-
-// snapEnv implements expr.Env over a pinned snapshot, mirroring the
-// store's env: attributes resolve with inheritance as of the pin,
-// collections resolve local subclasses and set/list attributes.
-type snapEnv struct {
-	sn  *object.Snapshot
-	sur domain.Surrogate
-}
-
-func (e snapEnv) Lookup(name string) (domain.Value, bool) {
-	v, err := e.sn.GetAttr(e.sur, name)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
-}
-
-func (e snapEnv) Collection(name string) ([]domain.Value, bool) {
-	if ms, err := e.sn.Members(e.sur, name); err == nil {
-		out := make([]domain.Value, len(ms))
-		for i, m := range ms {
-			out[i] = domain.Ref(m)
-		}
-		return out, true
-	}
-	if v, err := e.sn.GetAttr(e.sur, name); err == nil {
-		switch x := v.(type) {
-		case *domain.Set:
-			return x.Elems(), true
-		case *domain.List:
-			return x.Elems(), true
-		}
-	}
-	return nil, false
-}
-
-func (e snapEnv) AttrOf(ref domain.Ref, attr string) (domain.Value, bool) {
-	return snapEnv{sn: e.sn, sur: domain.Surrogate(ref)}.Lookup(attr)
-}
-
-func (e snapEnv) CollectionOf(ref domain.Ref, name string) ([]domain.Value, bool) {
-	return snapEnv{sn: e.sn, sur: domain.Surrogate(ref)}.Collection(name)
-}
+func ForSnapshot(sn *object.Snapshot) Source { return sn }

@@ -108,6 +108,7 @@ func (m *Manager) Import(st *ManagerState) error {
 		}
 		d.versions = append(d.versions, info)
 		m.byObj[v.Object] = info
+		m.registered.Store(v.Object, struct{}{})
 		if info.Status == StatusFrozen {
 			m.frozenN.Add(1)
 		}

@@ -92,6 +92,11 @@ type Manager struct {
 	// count only grows; Frozen() uses it to answer "nothing is frozen"
 	// without taking mu — that check sits on the store's hot write path.
 	frozenN atomic.Int32
+	// registered mirrors byObj's keys for the lock-free Registered test:
+	// the store's delete guard asks it under store locks that AddVersion's
+	// own store reads wait on, so it must not take mu. Versions are never
+	// unregistered.
+	registered sync.Map // domain.Surrogate -> struct{}
 }
 
 // NewManager creates an empty version manager for a store.
@@ -175,9 +180,23 @@ func (m *Manager) AddVersion(design string, obj domain.Surrogate, derivedFrom []
 		Status:      StatusInWork,
 		DerivedFrom: append([]domain.Surrogate(nil), derivedFrom...),
 	}
+	// Publish before re-checking existence: a Delete either sees the
+	// registration and refuses, or ran first and the re-check sees it.
+	m.registered.Store(obj, struct{}{})
+	if !m.store.Exists(obj) {
+		m.registered.Delete(obj)
+		return nil, fmt.Errorf("%w: %s", object.ErrNoSuchObject, obj)
+	}
 	d.versions = append(d.versions, info)
 	m.byObj[obj] = info
 	return info, nil
+}
+
+// Registered reports whether obj is a registered version of some design.
+// It takes no lock, so the store's delete guard may call it.
+func (m *Manager) Registered(obj domain.Surrogate) bool {
+	_, ok := m.registered.Load(obj)
+	return ok
 }
 
 func (m *Manager) inheritsFromLocked(obj, iface domain.Surrogate) bool {

@@ -19,8 +19,8 @@ const (
 
 // EncodeSnapshot serializes the full logical state of the store and
 // version manager from their exported states. Callers that need the
-// snapshot to be atomic with a log rotation export under
-// object.Store.WithExclusive.
+// state to be atomic with a log rotation pin it with
+// object.Store.PinCheckpoint and export the pinned snapshot.
 func EncodeSnapshot(st *object.StoreState, vs *version.ManagerState) []byte {
 	var e codec.Buf
 	e.Uvarint(snapMagic)
