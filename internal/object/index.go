@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -685,37 +686,53 @@ func bounds(lo, hi domain.Value) (loK, hiK *ikey, ok bool) {
 	return loK, hiK, true
 }
 
-// probe scans the partitions for keys in [lo, hi], returning the members
-// whose posting interval covers sequence point at (liveSeq: the live
-// postings).
+// eachBucket calls f, under each partition's mutex, with every key bucket in
+// [lo, hi]. When both bounds normalize to one key the range holds exactly
+// that key — numbers share one key space, +0 and -0 are one map key, NaN
+// is never a key — so each partition answers with a single map lookup;
+// any other range walks every key.
+func (ix *attrIndex) eachBucket(lo, hi *ikey, f func(map[domain.Surrogate]*postNode)) {
+	point := lo != nil && hi != nil && *lo == *hi
+	for i := range ix.parts {
+		p := &ix.parts[i]
+		p.mu.Lock()
+		if point {
+			if m := p.buckets[*lo]; m != nil {
+				f(m)
+			}
+		} else {
+			for k, m := range p.buckets {
+				if k.inRange(lo, hi) {
+					f(m)
+				}
+			}
+		}
+		p.mu.Unlock()
+	}
+}
+
+// probe returns, ascending, the members with a key in [lo, hi] whose
+// posting interval covers sequence point at (liveSeq: the live postings).
 func (ix *attrIndex) probe(lo, hi domain.Value, at uint64) ([]domain.Surrogate, bool) {
 	loK, hiK, ok := bounds(lo, hi)
 	if !ok {
 		return nil, false
 	}
 	var out []domain.Surrogate
-	for i := range ix.parts {
-		p := &ix.parts[i]
-		p.mu.Lock()
-		for k, m := range p.buckets {
-			if !k.inRange(loK, hiK) {
-				continue
-			}
-			for sur, n := range m {
-				for ; n != nil; n = n.prev {
-					if n.added <= at && (n.removed == 0 || n.removed > at) {
-						out = append(out, sur)
-						break
-					}
-					if n.added <= at {
-						break // deeper intervals are older still
-					}
+	ix.eachBucket(loK, hiK, func(m map[domain.Surrogate]*postNode) {
+		for sur, n := range m {
+			for ; n != nil; n = n.prev {
+				if n.added <= at && (n.removed == 0 || n.removed > at) {
+					out = append(out, sur)
+					break
+				}
+				if n.added <= at {
+					break // deeper intervals are older still
 				}
 			}
 		}
-		p.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	})
+	slices.Sort(out)
 	return out, true
 }
 
@@ -727,16 +744,9 @@ func (ix *attrIndex) estimate(lo, hi domain.Value) int {
 		return -1
 	}
 	total := 0
-	for i := range ix.parts {
-		p := &ix.parts[i]
-		p.mu.Lock()
-		for k, m := range p.buckets {
-			if k.inRange(loK, hiK) {
-				total += len(m)
-			}
-		}
-		p.mu.Unlock()
-	}
+	ix.eachBucket(loK, hiK, func(m map[domain.Surrogate]*postNode) {
+		total += len(m)
+	})
 	return total
 }
 

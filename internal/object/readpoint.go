@@ -554,8 +554,9 @@ func (rp *readPoint) index(className, attrName string) *attrIndex {
 // lies within [lo, hi] (nil = unbounded; bounds inclusive — see inRange)
 // as of the read point, from an index over (className, attrName) that was
 // maintained there. The second result is false when no such index exists
-// or a bound is not an indexable scalar. Candidates are a superset of the
-// true matches (bounds are widened); callers re-apply the full predicate.
+// or a bound is not an indexable scalar. Candidates are ascending by
+// surrogate and a superset of the true matches (bounds are widened);
+// callers re-apply the full predicate.
 func (rp *readPoint) IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool) {
 	ix := rp.index(className, attrName)
 	if ix == nil {

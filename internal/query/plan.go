@@ -3,7 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"cadcam/internal/domain"
@@ -225,6 +225,7 @@ func Build(src Source, className string, where expr.Expr) (*Plan, error) {
 func (p *Plan) Run(src Source) ([]domain.Surrogate, error) {
 	if p.Mode == IndexScan {
 		if cands, ok := src.IndexProbe(p.Class, p.Attr, p.Lo, p.Hi); ok {
+			// Candidates arrive ascending and filter keeps their order.
 			return p.filter(src, cands), nil
 		}
 		// The index was dropped (or never covered this source's sequence
@@ -236,7 +237,7 @@ func (p *Plan) Run(src Source) ([]domain.Surrogate, error) {
 	}
 	if p.Where == nil {
 		out := append([]domain.Surrogate(nil), members...)
-		sortSurs(out)
+		slices.Sort(out)
 		return out, nil
 	}
 	if p.Mode == RouteProbe {
@@ -244,9 +245,13 @@ func (p *Plan) Run(src Source) ([]domain.Surrogate, error) {
 			return p.routeProbe(src, cs, members), nil
 		}
 	}
-	return p.filter(src, members), nil
+	// Class members arrive unordered.
+	out := p.filter(src, members)
+	slices.Sort(out)
+	return out, nil
 }
 
+// filter keeps the surrogates satisfying the predicate, in input order.
 func (p *Plan) filter(src Source, surs []domain.Surrogate) []domain.Surrogate {
 	out := make([]domain.Surrogate, 0, len(surs))
 	for _, sur := range surs {
@@ -254,7 +259,6 @@ func (p *Plan) filter(src Source, surs []domain.Surrogate) []domain.Surrogate {
 			out = append(out, sur)
 		}
 	}
-	sortSurs(out)
 	return out
 }
 
@@ -282,12 +286,8 @@ func (p *Plan) routeProbe(src Source, cs ChainSource, members []domain.Surrogate
 			out = append(out, m)
 		}
 	}
-	sortSurs(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortSurs(s []domain.Surrogate) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // Explain renders the plan, its estimates and the alternatives the
@@ -366,6 +366,6 @@ func Naive(src Source, className string, where expr.Expr) ([]domain.Surrogate, e
 			out = append(out, m)
 		}
 	}
-	sortSurs(out)
+	slices.Sort(out)
 	return out, nil
 }

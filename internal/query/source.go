@@ -25,8 +25,9 @@ type Source interface {
 	// Indexes lists the secondary-index definitions usable here.
 	Indexes() []object.IndexDef
 	// IndexProbe returns candidate members whose indexed attribute lies
-	// in [lo, hi] (nil = open; bounds inclusive). Candidates are a
-	// superset of the true matches; the runner re-applies the predicate.
+	// in [lo, hi] (nil = open; bounds inclusive), ascending by surrogate.
+	// Candidates are a superset of the true matches; the runner
+	// re-applies the predicate and keeps their order.
 	IndexProbe(className, attrName string, lo, hi domain.Value) ([]domain.Surrogate, bool)
 	// IndexEstimate counts candidates in range, or -1 if no usable index.
 	IndexEstimate(className, attrName string, lo, hi domain.Value) int

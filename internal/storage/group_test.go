@@ -2,8 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"sync"
 	"testing"
@@ -212,7 +214,7 @@ func TestGroupSwapLog(t *testing.T) {
 
 func TestAppendBatchTornTailDropsWholeBatch(t *testing.T) {
 	l, path := openFresh(t)
-	if err := l.Append([]byte("keep")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("keep")}, true); err != nil {
 		t.Fatal(err)
 	}
 	batch := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}
@@ -242,17 +244,23 @@ func TestAppendBatchSingleRecordUsesLegacyFrame(t *testing.T) {
 	if err := l.AppendBatch([][]byte{[]byte("solo")}, true); err != nil {
 		t.Fatal(err)
 	}
-	// A single record not starting with the marker is framed exactly like
-	// Append would frame it.
-	sizeBatch := l.Size()
-	if err := l.Append([]byte("solo")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("solo")}, true); err != nil {
 		t.Fatal(err)
 	}
-	if l.Size()-sizeBatch != sizeBatch {
-		t.Errorf("single-record batch frame differs from legacy frame: %d vs %d",
-			sizeBatch, l.Size()-sizeBatch)
-	}
 	l.Close()
+	// A single record not starting with the marker is framed as a plain
+	// record: [len][crc][payload], with no batch marker or count.
+	frame := make([]byte, headerSize, headerSize+4)
+	binary.LittleEndian.PutUint32(frame[0:4], 4)
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE([]byte("solo")))
+	frame = append(frame, "solo"...)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(append([]byte(nil), frame...), frame...); !bytes.Equal(got, want) {
+		t.Errorf("single-record frames = %x, want %x", got, want)
+	}
 	recs := reopenRecords(t, path)
 	if len(recs) != 2 || string(recs[0]) != "solo" || string(recs[1]) != "solo" {
 		t.Fatalf("reopen = %q", recs)

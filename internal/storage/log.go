@@ -47,10 +47,6 @@ type Log struct {
 	f    *os.File
 	path string
 	size int64
-	// SyncEvery controls fsync: 1 = every append (durable, slow),
-	// 0 = never (rely on Close/Checkpoint). Default 1.
-	syncEvery int
-	pending   int
 }
 
 // OpenLog opens (creating if necessary) the log at path, scans and
@@ -73,7 +69,7 @@ func OpenLog(path string) (*Log, [][]byte, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &Log{f: f, path: path, size: validSize, syncEvery: 1}, records, nil
+	return &Log{f: f, path: path, size: validSize}, records, nil
 }
 
 // Frame is one intact CRC frame of a log: the byte range it occupies and
@@ -230,37 +226,11 @@ func expandBatch(payload []byte) ([][]byte, error) {
 	return records, nil
 }
 
-// SetSync configures fsync frequency: n = fsync every n appends
-// (n <= 0 disables fsync on append).
-func (l *Log) SetSync(n int) { l.syncEvery = n }
-
-// Append writes one record and, per the sync policy, fsyncs.
-func (l *Log) Append(payload []byte) error {
-	header := make([]byte, headerSize)
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.f.Write(header); err != nil {
-		return fmt.Errorf("storage: append: %w", err)
-	}
-	if _, err := l.f.Write(payload); err != nil {
-		return fmt.Errorf("storage: append: %w", err)
-	}
-	l.size += headerSize + int64(len(payload))
-	l.pending++
-	if l.syncEvery > 0 && l.pending >= l.syncEvery {
-		l.pending = 0
-		if err := l.sync(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AppendBatch writes payloads as one frame with a single write syscall —
-// a legacy single-record frame for one payload, a batch frame otherwise —
-// and fsyncs when sync is true, independent of the SetSync policy. A
-// crash mid-write tears the whole frame: scan drops the entire batch, so
-// a batch is committed atomically or not at all.
+// a plain single-record frame for one payload, a batch frame otherwise —
+// and fsyncs when sync is true. A crash mid-write tears the whole frame:
+// scan drops the entire batch, so a batch is committed atomically or not
+// at all.
 func (l *Log) AppendBatch(payloads [][]byte, sync bool) error {
 	if err := fpAppendError.Hit(); err != nil {
 		return fmt.Errorf("storage: append batch: %w", err)
@@ -300,10 +270,8 @@ func (l *Log) AppendBatch(payloads [][]byte, sync bool) error {
 	}
 	l.size += int64(len(buf))
 	if sync {
-		l.pending = 0
 		return l.sync()
 	}
-	l.pending += len(payloads)
 	return nil
 }
 

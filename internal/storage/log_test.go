@@ -25,7 +25,7 @@ func TestAppendAndReopen(t *testing.T) {
 	l, path := openFresh(t)
 	payloads := [][]byte{[]byte("one"), []byte("two"), {}, []byte("four")}
 	for _, p := range payloads {
-		if err := l.Append(p); err != nil {
+		if err := l.AppendBatch([][]byte{p}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestAppendAndReopen(t *testing.T) {
 		}
 	}
 	// Appending after reopen extends the log.
-	if err := l2.Append([]byte("five")); err != nil {
+	if err := l2.AppendBatch([][]byte{[]byte("five")}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -66,10 +66,10 @@ func TestAppendAndReopen(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	l, path := openFresh(t)
-	if err := l.Append([]byte("intact")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("intact")}, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("will-be-torn")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("will-be-torn")}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -89,7 +89,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("records = %q", recs)
 	}
 	// The torn tail is gone: new appends land cleanly.
-	if err := l2.Append([]byte("fresh")); err != nil {
+	if err := l2.AppendBatch([][]byte{[]byte("fresh")}, true); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
@@ -101,7 +101,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestTornHeaderTruncated(t *testing.T) {
 	l, path := openFresh(t)
-	if err := l.Append([]byte("a")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("a")}, true); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -117,10 +117,10 @@ func TestTornHeaderTruncated(t *testing.T) {
 
 func TestInteriorCorruptionFatal(t *testing.T) {
 	l, path := openFresh(t)
-	if err := l.Append([]byte("first-record-payload")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("first-record-payload")}, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("second-record-payload")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("second-record-payload")}, true); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -140,10 +140,10 @@ func TestCorruptFinalRecordTolerated(t *testing.T) {
 	// A bit flip in the very last record is indistinguishable from a torn
 	// write and is dropped.
 	l, path := openFresh(t)
-	if err := l.Append([]byte("first")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("first")}, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("last")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("last")}, true); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -161,7 +161,7 @@ func TestCorruptFinalRecordTolerated(t *testing.T) {
 func TestReset(t *testing.T) {
 	l, path := openFresh(t)
 	for i := 0; i < 5; i++ {
-		if err := l.Append([]byte("x")); err != nil {
+		if err := l.AppendBatch([][]byte{[]byte("x")}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestReset(t *testing.T) {
 	if l.Size() != 0 {
 		t.Error("size after reset")
 	}
-	if err := l.Append([]byte("new")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("new")}, true); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -184,9 +184,8 @@ func TestReset(t *testing.T) {
 func TestSyncPolicy(t *testing.T) {
 	l, _ := openFresh(t)
 	defer l.Close()
-	l.SetSync(0) // no fsync on append
-	for i := 0; i < 100; i++ {
-		if err := l.Append([]byte("bulk")); err != nil {
+	for i := 0; i < 100; i++ { // no fsync on append, one at the end
+		if err := l.AppendBatch([][]byte{[]byte("bulk")}, false); err != nil {
 			t.Fatal(err)
 		}
 	}

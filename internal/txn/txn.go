@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -165,9 +166,9 @@ func (t *Txn) Commit() error {
 		if err := t.mgr.store.Delete(sur); err != nil {
 			// A failed deferred delete aborts the transaction.
 			t.state = StateAborted
-			t.undoAllLocked()
+			undoErr := t.undoAllLocked()
 			t.mgr.locks.releaseAll(t)
-			return fmt.Errorf("txn: deferred delete of %s failed: %w", sur, err)
+			return errors.Join(fmt.Errorf("txn: deferred delete of %s failed: %w", sur, err), undoErr)
 		}
 	}
 	t.state = StateCommitted
@@ -178,7 +179,9 @@ func (t *Txn) Commit() error {
 	return t.mgr.syncJournal()
 }
 
-// Abort rolls back every change and releases all locks.
+// Abort rolls back every change and releases all locks. A compensation
+// the store refuses leaves its change in place; Abort still releases the
+// locks and reports every such failure.
 func (t *Txn) Abort() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -186,18 +189,24 @@ func (t *Txn) Abort() error {
 		return err
 	}
 	t.state = StateAborted
-	t.undoAllLocked()
+	undoErr := t.undoAllLocked()
 	t.mgr.locks.releaseAll(t)
 	// Compensating operations are journal records too: an acknowledged
 	// abort means the compensation is on disk.
-	return t.mgr.syncJournal()
+	return errors.Join(undoErr, t.mgr.syncJournal())
 }
 
-func (t *Txn) undoAllLocked() {
+// undoAllLocked runs every compensation, newest first, and returns their
+// failures joined.
+func (t *Txn) undoAllLocked() error {
+	var errs []error
 	for i := len(t.undo) - 1; i >= 0; i-- {
-		_ = t.undo[i]() // undo errors cannot be surfaced meaningfully
+		if err := t.undo[i](); err != nil {
+			errs = append(errs, fmt.Errorf("txn: undo: %w", err))
+		}
 	}
 	t.undo = nil
+	return errors.Join(errs...)
 }
 
 // ---- transactional object operations ----

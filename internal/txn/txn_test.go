@@ -147,6 +147,64 @@ func TestDeferredDelete(t *testing.T) {
 	}
 }
 
+// TestAbortReportsUndoFailure checks that a compensation the store
+// refuses is reported by Abort, and by a Commit that a failed deferred
+// delete turns into an abort, with the locks released either way.
+func TestAbortReportsUndoFailure(t *testing.T) {
+	m := gateManager(t)
+	errFrozen := errors.New("frozen")
+	refuse := func(frozen domain.Surrogate) {
+		m.store.SetWriteGuard(func(sur domain.Surrogate) error {
+			if sur == frozen {
+				return errFrozen
+			}
+			return nil
+		})
+	}
+	released := func(sur domain.Surrogate) bool {
+		st := m.locks.stripeFor(sur)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.objs[sur] == nil
+	}
+
+	pin, err := m.store.NewObject(paperschema.TypePin, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := m.Begin("")
+	if err := tx.SetAttr(pin, "PinId", intVal(5)); err != nil {
+		t.Fatal(err)
+	}
+	refuse(pin)
+	if err := tx.Abort(); !errors.Is(err, errFrozen) {
+		t.Fatalf("Abort with a refused undo = %v, want %v", err, errFrozen)
+	}
+	if tx.State() != StateAborted || !released(pin) {
+		t.Error("abort must finish and release its locks despite the undo failure")
+	}
+	m.store.SetWriteGuard(nil)
+
+	// A restricted deferred delete aborts the commit; the refused undo of
+	// the earlier write is reported with the delete's failure.
+	_, iface, _, _ := buildComposite(t, m)
+	tx2 := m.Begin("")
+	if err := tx2.SetAttr(pin, "PinId", intVal(6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Delete(iface); err != nil {
+		t.Fatal(err)
+	}
+	refuse(pin)
+	err = tx2.Commit()
+	if !errors.Is(err, errFrozen) || !errors.Is(err, object.ErrHasInheritors) {
+		t.Fatalf("failed commit = %v, want the delete and the undo failure", err)
+	}
+	if tx2.State() != StateAborted || !released(pin) || !released(iface) {
+		t.Error("failed commit must abort and release its locks")
+	}
+}
+
 func TestTxnBindAndRelate(t *testing.T) {
 	m := gateManager(t)
 	s := m.store
